@@ -621,6 +621,43 @@ impl<O> RunReport<O> {
     }
 }
 
+impl<O: fmt::Debug> RunReport<O> {
+    /// The report's deterministic payload as one canonical string: the
+    /// `Debug` form of every field except [`RunReport::exec`] and
+    /// [`RunReport::obs`], which describe how the run executed rather
+    /// than what it computed. Equal specs yield equal canonical forms
+    /// across reruns, thread counts and engines that replay each other
+    /// (`event-unit` and round-sync) — the form byte-identity
+    /// assertions compare.
+    pub fn canonical(&self) -> String {
+        // Destructured in full, so a new field must be sorted into the
+        // payload or out of it here.
+        let RunReport {
+            outputs,
+            rounds,
+            all_halted,
+            stop_cause,
+            first_candidate_round,
+            size_bound,
+            doubling,
+            faults,
+            metrics,
+            schedule,
+            topology,
+            exec: _,
+            obs: _,
+            consensus,
+        } = self;
+        format!(
+            "RunReport {{ outputs: {outputs:?}, rounds: {rounds:?}, all_halted: {all_halted:?}, \
+             stop_cause: {stop_cause:?}, first_candidate_round: {first_candidate_round:?}, \
+             size_bound: {size_bound:?}, doubling: {doubling:?}, faults: {faults:?}, \
+             metrics: {metrics:?}, schedule: {schedule:?}, topology: {topology:?}, \
+             consensus: {consensus:?} }}"
+        )
+    }
+}
+
 impl RunReport<Vec<u32>> {
     /// The smallest output hitting set (all outputs are valid; they may
     /// differ across nodes). Ties break lexicographically so the choice
@@ -967,7 +1004,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
 
     /// Attaches a [`FlightRecorder`] to the simulated network and
     /// surfaces its summary (per-phase wall-clock histograms, engine
-    /// counters, heap high-water marks) in [`RunReport::obs`]. Off by
+    /// counters, event-queue high-water marks) in [`RunReport::obs`]. Off by
     /// default — the no-op recorder path is provably free (the
     /// steady-state allocation test runs through it) and the pinned
     /// trajectories are byte-identical either way, because the recorder

@@ -7,12 +7,13 @@
 //! loss. This module makes that a first-class execution model while
 //! keeping the determinism contract intact:
 //!
-//! * **Event queue.** A time-ordered binary heap ([`EventQueue`]) with a
-//!   *total* tie-break order: events compare by `(time, seq)`, where
-//!   `seq` is a monotonically increasing insertion counter. Two runs of
-//!   the same spec therefore pop events in exactly the same order —
-//!   identical specs replay byte-identically, with no dependence on
-//!   hash ordering or thread scheduling.
+//! * **Event queue.** A calendar queue ([`EventQueue`]): one FIFO
+//!   bucket per event time in an ordered map, so events pop in the
+//!   *total* order `(time, seq)`, where `seq` is a monotonically
+//!   increasing insertion counter. Two runs of the same spec therefore
+//!   pop events in exactly the same order — identical specs replay
+//!   byte-identically, with no dependence on hash ordering or thread
+//!   scheduling.
 //! * **Typed links.** A [`LinkPlan`] assigns every ordered node pair a
 //!   [`Link`] descriptor carrying per-edge latency, rate, and loss.
 //!   Link properties are drawn from a dedicated seed space
@@ -64,8 +65,7 @@ use crate::scratch::RoundScratch;
 use crate::topology::Adjacency;
 use crate::NodeId;
 use rand::Rng;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, VecDeque};
 
 // ---------------------------------------------------------------------------
 // Engine selection
@@ -347,44 +347,38 @@ impl LinkPlan {
 // The event queue
 // ---------------------------------------------------------------------------
 
-/// A heap entry: the payload rides along but only `(time, seq)`
-/// participate in the order, which makes the order *total* — no two
-/// entries ever compare equal, so `BinaryHeap`'s lack of stability
-/// cannot surface.
-struct Entry<T> {
-    time: u64,
-    seq: u64,
-    payload: T,
-}
+/// Events per bucket segment. A segment is allocated once at this
+/// capacity and never grows; a drained segment goes back to the
+/// queue's free list for any bucket to reuse, so the queue owns about
+/// as many segments as its peak of pending events needs, rather than
+/// a high-water allocation per bucket.
+const SEGMENT: usize = 1024;
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    /// Reversed comparison so the std max-heap pops smallest
-    /// `(time, seq)` first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
+/// One time value's pending events in push order: a chain of segments,
+/// each non-empty and holding at most [`SEGMENT`] events.
+type Bucket<T> = VecDeque<VecDeque<T>>;
 
-/// Deterministic time-ordered event queue.
+/// Deterministic time-ordered event queue (a calendar queue).
 ///
 /// Pops strictly in `(time, seq)` order: earliest time first, and among
 /// equal-time events, insertion order. The sequence number is assigned
 /// at push time, so replaying the same pushes yields the same pops —
 /// the property the event engine's byte-identity rests on (and that the
-/// property tests in `tests/event_queue.rs` pin down).
+/// property tests in `tests/properties.rs` pin down against a binary
+/// heap keyed by `(time, seq)`).
+///
+/// Event times are small integers shared by many events, so the queue
+/// keeps one FIFO bucket per distinct time in an ordered map: a push
+/// appends to its time's bucket, a pop takes the front of the earliest
+/// bucket. Since a bucket holds its events in push order, which is
+/// `seq` order, that *is* `(time, seq)` order — without comparing
+/// sequence numbers at all.
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
+    /// Non-empty buckets keyed by event time.
+    buckets: BTreeMap<u64, Bucket<T>>,
+    /// Drained segments (empty, capacity kept), reused by any bucket.
+    free: Vec<VecDeque<T>>,
+    len: usize,
     seq: u64,
 }
 
@@ -398,7 +392,9 @@ impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            buckets: BTreeMap::new(),
+            free: Vec::new(),
+            len: 0,
             seq: 0,
         }
     }
@@ -408,34 +404,59 @@ impl<T> EventQueue<T> {
     pub fn push(&mut self, time: u64, payload: T) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry { time, seq, payload });
+        let bucket = self.buckets.entry(time).or_default();
+        match bucket.back_mut() {
+            Some(tail) if tail.len() < SEGMENT => tail.push_back(payload),
+            _ => {
+                let mut segment = self
+                    .free
+                    .pop()
+                    .unwrap_or_else(|| VecDeque::with_capacity(SEGMENT));
+                segment.push_back(payload);
+                bucket.push_back(segment);
+            }
+        }
+        self.len += 1;
         seq
     }
 
     /// Pops the earliest event (ties broken by insertion order).
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        self.heap.pop().map(|e| (e.time, e.payload))
+        let mut entry = self.buckets.first_entry()?;
+        let time = *entry.key();
+        let bucket = entry.get_mut();
+        let front = bucket.front_mut().expect("buckets are non-empty");
+        let payload = front.pop_front().expect("segments are non-empty");
+        if front.is_empty() {
+            let drained = bucket.pop_front().expect("the front segment");
+            self.free.push(drained);
+            if bucket.is_empty() {
+                entry.remove();
+            }
+        }
+        self.len -= 1;
+        Some((time, payload))
     }
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.time)
+        self.buckets.first_key_value().map(|(&time, _)| time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
-    /// Iterates over pending payloads in arbitrary order (inspection
-    /// only — e.g. counting in-flight messages).
+    /// Iterates over pending payloads in pop order (inspection only —
+    /// e.g. counting in-flight messages).
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.heap.iter().map(|e| &e.payload)
+        self.buckets.values().flatten().flatten()
     }
 }
 
@@ -444,7 +465,7 @@ impl<T> EventQueue<T> {
 // ---------------------------------------------------------------------------
 
 /// Within a tick, events execute in phase-class order; the class is
-/// encoded into the low bits of the event time, so the heap's
+/// encoded into the low bits of the event time, so the queue's
 /// `(time, seq)` order alone realizes "classes in order, insertion
 /// order within a class".
 const CLASS_BITS: u64 = 3;
@@ -465,7 +486,7 @@ fn tick_of(time: u64) -> u64 {
 
 /// One scheduled event. Message payloads are moved through the queue —
 /// a pushed message lives in exactly one place at any time, preserving
-/// the round engine's move-only memory model across the heap.
+/// the round engine's move-only memory model across the queue.
 enum Event<P: Protocol> {
     /// Node `node` begins its next local round: emits pulls, schedules
     /// serves and its own compute.
@@ -561,7 +582,7 @@ pub(crate) struct TickCtx<'a, P: Protocol> {
     /// Metrics row index (the network's round counter).
     pub(crate) round: u64,
     /// The network's observability seam (see [`crate::obs`]): tick
-    /// spans, heap gauges, and stall counters report here — strictly
+    /// spans, queue gauges, and stall counters report here — strictly
     /// observational, nothing is read back.
     pub(crate) recorder: &'a mut dyn Recorder,
 }
@@ -657,7 +678,7 @@ impl<P: Protocol> EventCore<P> {
         }
         let offline_count = ctx.scratch.offline.count_ones();
 
-        // Heap depth is sampled at tick start (its per-run high water is
+        // Queue depth is sampled at tick start (its per-run high water is
         // the queue's memory footprint); the pop count below is both a
         // running total and a per-tick high-water gauge.
         ctx.recorder
@@ -973,7 +994,7 @@ impl<P: Protocol> EventCore<P> {
                             acc.delayed += 1;
                             self.in_flight += 1;
                         }
-                        // Same-tick deliveries also ride the heap: the
+                        // Same-tick deliveries also ride the queue: the
                         // class-4 pop order is then "older (delayed)
                         // messages first, current ones in (sender,
                         // message) order" — exactly the round engine's
@@ -1079,6 +1100,58 @@ mod tests {
             ]
         );
         assert!(q.is_empty());
+    }
+
+    /// A bucket longer than three segments, interleaved with other
+    /// times: covers the segment hand-offs inside one bucket and the
+    /// reuse of drained segments by another, which the proptest battery
+    /// (at most 200 operations) never reaches.
+    #[test]
+    fn long_buckets_chain_segments_and_reuse_drained_ones() {
+        // Every segment the queue owns, live or spare.
+        let owned = |q: &EventQueue<usize>| {
+            q.free.len() + q.buckets.values().map(VecDeque::len).sum::<usize>()
+        };
+        let mut q = EventQueue::new();
+        let mut id = 0;
+        let mut fresh = || {
+            id += 1;
+            id
+        };
+        for i in 0..3 * SEGMENT + SEGMENT / 2 {
+            q.push(5, fresh());
+            if i % 100 == 0 {
+                q.push(2, fresh());
+                q.push(9, fresh());
+            }
+        }
+        assert_eq!(q.buckets[&5].len(), 4, "3.5 segments' worth at time 5");
+        let at_2 = q.buckets[&2].iter().map(VecDeque::len).sum::<usize>();
+        let total = q.len();
+        let allocated = owned(&q);
+
+        // Drain time 2 and the first two segments of time 5.
+        let mut popped: Vec<(u64, usize)> = (0..at_2 + 2 * SEGMENT)
+            .map(|_| q.pop().expect("pending"))
+            .collect();
+        assert_eq!(q.free.len(), 3, "drained segments return at once");
+        assert_eq!((q.peek_time(), q.len()), (Some(5), total - popped.len()));
+
+        // A new bucket takes its segments from the free list.
+        for _ in 0..2 * SEGMENT {
+            q.push(7, fresh());
+        }
+        assert_eq!(owned(&q), allocated, "no segment allocated");
+        assert_eq!(q.free.len(), 1);
+
+        popped.extend(std::iter::from_fn(|| q.pop()));
+        assert_eq!(popped.len(), total + 2 * SEGMENT);
+        // Ids grow with push order, and every time-7 push came after
+        // the last pop at an earlier time: the whole pop sequence is
+        // strictly ascending in (time, id).
+        assert!(popped.windows(2).all(|w| w[0] < w[1]));
+        assert!(q.is_empty() && q.buckets.is_empty());
+        assert_eq!(q.free.len(), allocated, "every segment is spare");
     }
 
     #[test]

@@ -293,7 +293,7 @@ impl<P: Protocol> Network<P> {
 
     fn use_parallel(&self) -> bool {
         // The event engine is inherently sequential: its determinism
-        // contract is the heap's total (time, seq) order, which admits
+        // contract is the queue's total (time, seq) order, which admits
         // no data-parallel phase sweeps.
         self.event.is_none()
             && self.cfg.parallel

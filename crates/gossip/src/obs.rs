@@ -239,7 +239,7 @@ impl Phase {
 /// A monotonic counter the engines bump (sums).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Counter {
-    /// Events popped off the event engine's heap.
+    /// Events popped off the event engine's event queue.
     EventPops,
     /// Pushed messages that paid a finite-rate serialization stall
     /// ([`Link::serialization_ticks`](crate::event::Link::serialization_ticks) > 0).
@@ -278,7 +278,8 @@ impl Counter {
 /// A high-water gauge (the recorder keeps the maximum ever reported).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Gauge {
-    /// Event-heap depth at tick start.
+    /// Event-queue depth (pending events) at tick start; `heap_depth`
+    /// on the wire, a name kept stable for frame readers.
     HeapDepth,
     /// Events dispatched within a single tick.
     PopsPerTick,

@@ -309,7 +309,7 @@ fn event_unit_matches_round_sync_across_the_grid() {
     }
 }
 
-/// Event-driven scheduling is thread-count-invariant: the heap's
+/// Event-driven scheduling is thread-count-invariant: the queue's
 /// (time, seq) total order — not rayon's chunk claiming — decides
 /// every interleaving, so running the identical heterogeneous-latency
 /// cell inside 1-, 2-, and 4-thread pools must be byte-identical. The

@@ -5,9 +5,22 @@
 use gossip_sim::{Network, NetworkConfig, RngSchedule};
 use lpt_gossip::driver::scatter;
 use lpt_gossip::low_load::{LowLoadClarkson, LowLoadConfig};
-use lpt_gossip::Driver;
+use lpt_gossip::{Driver, RunReport};
 use lpt_problems::Med;
 use lpt_workloads::med::{duo_disk, triple_disk};
+
+/// A seq/par comparison passes vacuously when the "parallel" run fell
+/// back to sequential stepping; on a host with two or more cores it
+/// must really have taken the parallel path.
+fn assert_parallel_engaged<O>(report: &RunReport<O>) {
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        assert!(
+            report.exec.parallel,
+            "parallel run stayed sequential: {:?}",
+            report.exec
+        );
+    }
+}
 
 #[test]
 fn repeated_runs_are_identical() {
@@ -92,7 +105,7 @@ fn run_report_carries_its_schedule_tag() {
             .rng_schedule(schedule)
             .run(&points)
             .expect("run");
-        assert_eq!(format!("{report:?}"), format!("{rerun:?}"));
+        assert_eq!(report.canonical(), rerun.canonical());
     }
 }
 
@@ -112,8 +125,9 @@ fn driver_parallel_flag_changes_nothing() {
 
 #[test]
 fn fault_models_are_deterministic_across_parallelism_and_reruns() {
-    // Same seed + same fault model ⇒ byte-identical RunReport, whether
-    // nodes are stepped sequentially or with Rayon, and across reruns.
+    // Same seed + same fault model ⇒ byte-identical RunReport payload,
+    // whether nodes are stepped sequentially or with Rayon, and across
+    // reruns.
     use gossip_sim::fault::{Bernoulli, Churn, Compose, Delay};
     let points = triple_disk(512, 90);
     let fault = || {
@@ -135,14 +149,15 @@ fn fault_models_are_deterministic_across_parallelism_and_reruns() {
     let par = run(true);
     let seq = run(false);
     let rerun = run(true);
+    assert_parallel_engaged(&par);
     assert_eq!(
-        format!("{par:?}"),
-        format!("{seq:?}"),
+        par.canonical(),
+        seq.canonical(),
         "sequential and parallel stepping must yield byte-identical reports"
     );
     assert_eq!(
-        format!("{par:?}"),
-        format!("{rerun:?}"),
+        par.canonical(),
+        rerun.canonical(),
         "reruns must be byte-identical"
     );
     // The fault machinery was actually exercised, and its counters are
@@ -278,9 +293,10 @@ fn delay_metrics_agree_across_parallelism() {
     };
     let par = run(true);
     let seq = run(false);
+    assert_parallel_engaged(&par);
     assert_eq!(
-        format!("{par:?}"),
-        format!("{seq:?}"),
+        par.canonical(),
+        seq.canonical(),
         "delayed runs must be byte-identical across stepping modes"
     );
     assert!(par.faults.messages_delayed > 0, "delay was exercised");
@@ -370,12 +386,13 @@ fn topology_runs_agree_across_parallelism() {
     let par = run(true);
     let seq = run(false);
     let rerun = run(true);
+    assert_parallel_engaged(&par);
     assert_eq!(
-        format!("{par:?}"),
-        format!("{seq:?}"),
+        par.canonical(),
+        seq.canonical(),
         "sequential and parallel overlay runs must be byte-identical"
     );
-    assert_eq!(format!("{par:?}"), format!("{rerun:?}"));
+    assert_eq!(par.canonical(), rerun.canonical());
     assert_eq!(par.topology, "torus2d");
 }
 

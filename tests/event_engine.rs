@@ -24,7 +24,7 @@ fn event_unit() -> Engine {
 /// counts) under the event engine with unit links. These numbers were
 /// captured on the original round engine before the fault subsystem
 /// existed; three engine generations later they must still fall out of
-/// a binary heap.
+/// the event queue's per-time FIFO buckets.
 #[test]
 fn event_unit_reproduces_v1_pins() {
     let report = Driver::new(Med)
@@ -98,7 +98,7 @@ fn event_unit_reproduces_v2_pins() {
 
 /// The delay-queue trajectories under both schedules: `Delay` faults
 /// are the adversarial cells most likely to expose an ordering bug,
-/// because the event engine routes delayed pushes through its heap
+/// because the event engine routes delayed pushes through its queue
 /// where the round engine uses an explicit pending ring. The (rounds,
 /// ops, delayed, dropped) quadruples must match the round-engine pins
 /// exactly.
@@ -198,10 +198,11 @@ fn event_unit_reproduces_topology_pins() {
     assert_eq!((report.rounds, report.metrics.total_ops()), (19, 49_007));
 }
 
-/// Beyond aggregate pins: the *entire* `RunReport` — every per-round
-/// metrics row, fault counters, outputs, consensus — must render to
-/// identical bytes under both engines. This is the strongest form of
-/// the degeneracy statement the repo can make end to end.
+/// Beyond aggregate pins: the *entire* `RunReport` payload — every
+/// per-round metrics row, fault counters, outputs, consensus — must
+/// render to identical canonical bytes under both engines. This is the
+/// strongest form of the degeneracy statement the repo can make end to
+/// end.
 #[test]
 fn event_unit_reports_are_byte_identical_to_round_sync() {
     let points = triple_disk(256, 7);
@@ -223,8 +224,8 @@ fn event_unit_reports_are_byte_identical_to_round_sync() {
         let round_sync = run(Engine::RoundSync);
         let event = run(event_unit());
         assert_eq!(
-            format!("{round_sync:?}"),
-            format!("{event:?}"),
+            round_sync.canonical(),
+            event.canonical(),
             "{}: engines diverged on a faulted run",
             schedule.name()
         );
@@ -307,7 +308,7 @@ fn analytic_hypercube_rejects_non_default_engines() {
 
 /// Engine selection round-trips through the spec grammar and the
 /// report is reproducible: two identical event-driven runs are
-/// byte-identical (the heap order is deterministic, not an accident of
+/// byte-identical (the queue order is deterministic, not an accident of
 /// hash seeds or allocation addresses).
 #[test]
 fn event_runs_are_reproducible() {
@@ -322,5 +323,5 @@ fn event_runs_are_reproducible() {
     };
     let a = run();
     let b = run();
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    assert_eq!(a.canonical(), b.canonical());
 }

@@ -7,6 +7,8 @@ use lpt_problems::{FixedDimLp, IdHalfspace, IdPoint2, Med, PolytopeDistance, Sid
 use proptest::prelude::*;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 fn id_points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<IdPoint2>> {
     prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), n).prop_map(|pts| {
@@ -275,7 +277,32 @@ proptest! {
 // insertion order (the sequence number is a total tie-break, never a
 // reordering). These properties drive arbitrary insert interleavings —
 // including duplicate timestamps and interleaved pop/push — through
-// `gossip_sim::EventQueue` and check the contract directly.
+// `gossip_sim::EventQueue` and check the contract directly, and
+// against the binary heap the engine's pinned trajectories were first
+// captured on.
+
+/// Reference model: a binary heap ordered by `(time, seq)`, reversed for
+/// std's max-heap. `seq` is unique, so the payload never decides.
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    seq: u64,
+}
+
+impl HeapModel {
+    fn push(&mut self, time: u64, payload: usize) {
+        self.heap.push(Reverse((time, self.seq, payload)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        self.heap.pop().map(|Reverse((t, _, p))| (t, p))
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse((t, _, _))| *t)
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -309,7 +336,7 @@ proptest! {
         ops in prop::collection::vec((0u64..20, 0u8..2), 1..150),
     ) {
         // Mixed workload: each step pushes, and pops when the coin says
-        // so — exercising heap states a pure fill-then-drain never
+        // so — exercising queue states a pure fill-then-drain never
         // reaches. Every pop must still respect (time, seq) order
         // relative to everything popped before *and after* it.
         let mut q = gossip_sim::EventQueue::new();
@@ -340,7 +367,7 @@ proptest! {
                 // pushed after this pop occurred (id larger than any
                 // popped so far — a fresh event that legitimately
                 // claimed an earlier slot is impossible, times only
-                // grow stale, so this catches heap corruption).
+                // grow stale, so this catches queue corruption).
                 prop_assert!(
                     (pt, pid) > (t, id) || pid > id,
                     "pop {:?} followed by stale smaller {:?}",
@@ -349,6 +376,31 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn event_queue_matches_the_binary_heap_model(
+        ops in prop::collection::vec((0u64..12, 0u8..3), 1..200),
+    ) {
+        // Coin 0 pops (possibly from an empty queue), anything else
+        // pushes at the drawn time. The narrow time range makes pushes
+        // earlier than the last pop, and long equal-time runs, common.
+        let mut q = gossip_sim::EventQueue::new();
+        let mut model = HeapModel::default();
+        for (id, &(t, coin)) in ops.iter().enumerate() {
+            if coin == 0 {
+                prop_assert_eq!(q.pop(), model.pop(), "pop at step {}", id);
+            } else {
+                q.push(t, id);
+                model.push(t, id);
+            }
+            prop_assert_eq!(q.len(), model.heap.len(), "len at step {}", id);
+            prop_assert_eq!(q.peek_time(), model.peek_time(), "peek at step {}", id);
+        }
+        while let Some(expected) = model.pop() {
+            prop_assert_eq!(q.pop(), Some(expected));
+        }
+        prop_assert!(q.is_empty() && q.pop().is_none());
     }
 }
 
