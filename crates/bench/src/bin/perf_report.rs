@@ -52,8 +52,9 @@
 //! `--out` overrides the output path.
 //!
 //! `--check` is the CI determinism/perf gate: every measured cell is
-//! compared against the `smoke_baseline_v1` section of the given
-//! baseline file — the *op count must match exactly* (op counts are a
+//! compared against the given baseline file's section for `--schedule`
+//! (`smoke_baseline_v1` for `v1compat`, `smoke_baseline_v2` for
+//! `v2batched`) — the *op count must match exactly* (op counts are a
 //! pure function of (schedule, seed), so any drift means the bitstream
 //! moved without a schedule bump) and the wall time must not regress
 //! beyond a generous +50% over the recorded reference (override the
@@ -413,23 +414,32 @@ struct BaselineCell {
     wall_ms: f64,
 }
 
-/// Extracts the `smoke_baseline_v1` cells from the committed baseline
-/// file: every line holding an `"algo"` field inside that section is
-/// one cell (the committed file keeps one cell per line for exactly
-/// this reason).
-fn load_smoke_baseline(path: &str) -> Result<Vec<BaselineCell>, String> {
+/// The baseline section `--check` reads for `schedule`: each schedule
+/// has its own op counts, so each is gated against its own cells.
+fn smoke_section(schedule: RngSchedule) -> &'static str {
+    match schedule {
+        RngSchedule::V1Compat => "smoke_baseline_v1",
+        RngSchedule::V2Batched => "smoke_baseline_v2",
+    }
+}
+
+/// Extracts the `section` cells from the committed baseline file:
+/// every line holding an `"algo"` field inside that section is one
+/// cell (the committed file keeps one cell per line for exactly this
+/// reason).
+fn load_smoke_baseline(path: &str, section: &str) -> Result<Vec<BaselineCell>, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
     let section_start = text
-        .find("\"smoke_baseline_v1\"")
-        .ok_or_else(|| format!("baseline {path} has no smoke_baseline_v1 section"))?;
+        .find(&format!("\"{section}\""))
+        .ok_or_else(|| format!("baseline {path} has no {section} section"))?;
     // The section ends at the first `]` after its `cells` array opens.
-    let section = &text[section_start..];
-    let end = section
+    let body = &text[section_start..];
+    let end = body
         .find(']')
-        .ok_or_else(|| format!("baseline {path}: unterminated smoke_baseline_v1"))?;
+        .ok_or_else(|| format!("baseline {path}: unterminated {section}"))?;
     let mut cells = Vec::new();
-    for line in section[..end].lines() {
+    for line in body[..end].lines() {
         if !line.contains("\"algo\"") {
             continue;
         }
@@ -447,7 +457,7 @@ fn load_smoke_baseline(path: &str) -> Result<Vec<BaselineCell>, String> {
         cells.push(parse().ok_or_else(|| format!("unparseable baseline cell: {line}"))?);
     }
     if cells.is_empty() {
-        return Err(format!("baseline {path}: smoke_baseline_v1 has no cells"));
+        return Err(format!("baseline {path}: {section} has no cells"));
     }
     Ok(cells)
 }
@@ -455,7 +465,13 @@ fn load_smoke_baseline(path: &str) -> Result<Vec<BaselineCell>, String> {
 /// The CI gate: op counts must match the baseline exactly; wall time
 /// within ±`tol` (a fraction of the baseline value). Returns the list
 /// of violations (empty = gate passes).
-fn check_against_baseline(cells: &[Cell], baseline: &[BaselineCell], tol: f64) -> Vec<String> {
+fn check_against_baseline(
+    cells: &[Cell],
+    baseline: &[BaselineCell],
+    schedule: RngSchedule,
+    tol: f64,
+) -> Vec<String> {
+    let section = smoke_section(schedule);
     let mut violations = Vec::new();
     for c in cells {
         let Some(b) = baseline.iter().find(|b| {
@@ -466,7 +482,7 @@ fn check_against_baseline(cells: &[Cell], baseline: &[BaselineCell], tol: f64) -
         }) else {
             violations.push(format!(
                 "cell ({}, n={}, {}, {}) missing from the committed smoke baseline — \
-                 re-pin BENCH_round_engine.json",
+                 re-pin {section} in BENCH_round_engine.json",
                 c.algo, c.n, c.scenario, c.topology
             ));
             continue;
@@ -474,8 +490,14 @@ fn check_against_baseline(cells: &[Cell], baseline: &[BaselineCell], tol: f64) -
         if b.ops != c.ops {
             violations.push(format!(
                 "op-count drift in ({}, n={}, {}, {}): measured {} vs baseline {} — \
-                 the V1Compat bitstream moved without a schedule bump",
-                c.algo, c.n, c.scenario, c.topology, c.ops, b.ops
+                 the {} bitstream moved without a schedule bump",
+                c.algo,
+                c.n,
+                c.scenario,
+                c.topology,
+                c.ops,
+                b.ops,
+                schedule.name()
             ));
         }
         // Wall-clock is a regression tripwire, not a determinism check:
@@ -487,7 +509,7 @@ fn check_against_baseline(cells: &[Cell], baseline: &[BaselineCell], tol: f64) -
         if b.wall_ms >= WALL_NOISE_FLOOR_MS && ratio > 1.0 + tol {
             violations.push(format!(
                 "wall-clock regression beyond +{:.0}% in ({}, n={}, {}): measured {:.1} ms vs \
-                 baseline {:.1} ms (ratio {:.2}); re-pin smoke_baseline_v1 wall_ms if the \
+                 baseline {:.1} ms (ratio {:.2}); re-pin {section} wall_ms if the \
                  reference hardware changed",
                 tol * 100.0,
                 c.algo,
@@ -617,14 +639,7 @@ fn main() {
     // to the baseline's own path, and the gate must compare against
     // the committed content, never a file this run just overwrote.
     let baseline = check_path.as_deref().map(|baseline_path| {
-        if schedule != RngSchedule::V1Compat {
-            eprintln!(
-                "[perf_report] --check compares against the V1Compat baseline; \
-                 run with --schedule v1compat"
-            );
-            std::process::exit(2);
-        }
-        load_smoke_baseline(baseline_path).unwrap_or_else(|e| {
+        load_smoke_baseline(baseline_path, smoke_section(schedule)).unwrap_or_else(|e| {
             eprintln!("[perf_report] {e}");
             std::process::exit(2);
         })
@@ -690,12 +705,13 @@ fn main() {
             .ok()
             .and_then(|v| v.parse::<f64>().ok())
             .unwrap_or(0.5);
-        let violations = check_against_baseline(&cells, &baseline, tol);
+        let violations = check_against_baseline(&cells, &baseline, schedule, tol);
         if violations.is_empty() {
             eprintln!(
-                "[perf_report] gate PASSED: {} cells match the committed baseline \
+                "[perf_report] gate PASSED: {} cells match the committed {} baseline \
                  (ops exact, wall within +{:.0}% above the noise floor)",
                 cells.len(),
+                smoke_section(schedule),
                 tol * 100.0
             );
         } else {

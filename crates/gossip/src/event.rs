@@ -35,12 +35,16 @@
 //! a tick, events execute in phase-class order (start-round, serve,
 //! response delivery, compute, push delivery, absorb), and within a
 //! class in insertion order, which under unit latency is exactly the
-//! node order the round engine's phase loops use. Every RNG stream and
-//! fault-model hook is keyed by coordinates that coincide with the
-//! round engine's under unit latency (local round == tick == round
-//! index). The equivalence is enforced by tests across the full
-//! {schedule} × {topology} × {fault} grid and by the pinned-trajectory
-//! battery in CI.
+//! node order the round engine's phase loops use. What each event does
+//! to its node or message (protocol hook, destination draw, fault
+//! hooks, metrics tally) is the round engine's own code, shared through
+//! the crate's private step module; this module adds only the queue,
+//! link latency and loss, and the per-local-round batch streams. Every
+//! RNG stream and fault-model hook is keyed by coordinates that
+//! coincide with the round engine's under unit latency (local round ==
+//! tick == round index). The equivalence is enforced by tests across
+//! the full {schedule} × {topology} × {fault} grid and by the
+//! pinned-trajectory battery in CI, which still gates event ordering.
 //!
 //! Select the engine via [`crate::NetworkConfig::engine`] (or
 //! `Driver::engine` in `lpt-gossip`):
@@ -56,12 +60,12 @@
 //! # let _ = cfg;
 //! ```
 
-use crate::fault::FaultModel;
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::obs::{Counter, Gauge, Phase, Recorder};
-use crate::protocol::{NodeControl, Protocol, Response};
-use crate::rng::{derive_rng, phase, BatchedSampler, BatchedUniform, PhaseRng, RngSchedule};
+use crate::protocol::{Protocol, Response};
+use crate::rng::{derive_rng, phase, BatchedSampler, PhaseRng};
 use crate::scratch::RoundScratch;
+use crate::step::{Dests, DrawKeys, Fate, Route, Tally, Turn};
 use crate::topology::Adjacency;
 use crate::NodeId;
 use rand::Rng;
@@ -519,68 +523,30 @@ enum Event<P: Protocol> {
     Absorb { node: u32 },
 }
 
-/// Per-round RNG batch for the V2 schedule, shared by every node at the
-/// same local round (consumed in event order, which under unit latency
-/// is the round engine's node order).
-enum BatchDraw {
-    Complete(BatchedUniform),
-    Overlay(BatchedSampler),
-}
-
-impl BatchDraw {
-    fn new(seed: u64, round: u64, phase: u64, n: usize, overlay: bool) -> BatchDraw {
-        if overlay {
-            BatchDraw::Overlay(BatchedSampler::new(seed, round, phase))
-        } else {
-            BatchDraw::Complete(BatchedUniform::new(seed, round, phase, n))
-        }
-    }
-
-    fn next(&mut self, nbrs: Option<&[u32]>) -> usize {
-        match (self, nbrs) {
-            (BatchDraw::Complete(s), None) => s.next_index(),
-            (BatchDraw::Overlay(s), Some(nbrs)) => nbrs[s.next_in(nbrs.len())] as usize,
-            _ => unreachable!("batch draw kind matches the topology it was built for"),
-        }
-    }
-}
-
-/// Per-tick metric accumulators (the event-engine analogue of the
-/// round engine's phase-local counters).
-#[derive(Default)]
-struct TickAcc {
-    pulls: u64,
-    pushes: u64,
-    max_work: u64,
-    served: u64,
-    resp_words: u64,
-    push_words: u64,
-    /// Lost responses: fault drops, corrupted-and-discarded, link loss.
-    resp_drop: u64,
-    /// Severed links (cut pulls + cut pushes) — also counted dropped.
-    cut: u64,
-    byzantine: u64,
-    /// Other losses: dropped pushes, offline destinations, crashed
-    /// senders, link loss on request/push legs.
-    misc_drop: u64,
-    delayed: u64,
+/// Node `node`'s destinations under `keys`, with V2's batch stream for
+/// that local round and phase taken from (or first added to) `batches`.
+fn batch_dests(
+    batches: &mut BTreeMap<(u64, u64), BatchedSampler>,
+    keys: DrawKeys,
+    node: usize,
+) -> Dests<'_> {
+    keys.dests(node, || {
+        batches
+            .entry((keys.round, keys.phase))
+            .or_insert_with(|| keys.batch())
+    })
 }
 
 /// Everything the event core borrows from its [`crate::Network`] for
 /// one tick. (The core cannot hold these itself: the network owns them
 /// and the round engine shares the same scratch.)
 pub(crate) struct TickCtx<'a, P: Protocol> {
-    pub(crate) protocol: &'a P,
+    pub(crate) fate: Fate<'a, P>,
     pub(crate) states: &'a mut [P::State],
     pub(crate) halted: &'a mut [bool],
     pub(crate) scratch: &'a mut RoundScratch<P>,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) adjacency: Option<&'a Adjacency>,
-    pub(crate) seed: u64,
-    pub(crate) fault: &'a dyn FaultModel,
-    pub(crate) schedule: RngSchedule,
-    /// Metrics row index (the network's round counter).
-    pub(crate) round: u64,
     /// The network's observability seam (see [`crate::obs`]): tick
     /// spans, queue gauges, and stall counters report here — strictly
     /// observational, nothing is read back.
@@ -599,10 +565,10 @@ pub(crate) struct EventCore<P: Protocol> {
     /// across its queries in arrival order (== query order, since all
     /// of a node's serves precede its compute).
     serve_rng: Vec<Option<PhaseRng>>,
-    /// V2 batched PULL_TARGET streams, keyed by local round.
-    pull_batches: BTreeMap<u64, BatchDraw>,
-    /// V2 batched PUSH_DEST streams, keyed by local round.
-    push_batches: BTreeMap<u64, BatchDraw>,
+    /// V2 batch streams keyed by (local round, phase tag), each shared
+    /// by every node at that round and consumed in event order (under
+    /// unit latency, the round engine's node order).
+    batches: BTreeMap<(u64, u64), BatchedSampler>,
     /// Nodes whose next `StartRound` is due at the next tick, flagged
     /// during dispatch and scheduled by a single end-of-tick scan in
     /// node-id order. Scheduling them inline would hand a node that
@@ -632,8 +598,7 @@ impl<P: Protocol> EventCore<P> {
             queue,
             local_round: vec![0; n],
             serve_rng: (0..n).map(|_| None).collect(),
-            pull_batches: BTreeMap::new(),
-            push_batches: BTreeMap::new(),
+            batches: BTreeMap::new(),
             restart: vec![false; n],
             in_flight: 0,
             next_tick: 0,
@@ -646,37 +611,35 @@ impl<P: Protocol> EventCore<P> {
         self.in_flight
     }
 
+    /// Node `i`'s step in its current local round.
+    fn turn(&self, i: usize, live: bool) -> Turn {
+        Turn {
+            round: self.local_round[i],
+            node: i,
+            live,
+        }
+    }
+
     /// Advances virtual time to the next tick that has events (or
     /// synthesizes an empty tick when none do) and executes it,
     /// appending one metrics row — the event-engine implementation of
     /// [`crate::Network::round`].
     pub(crate) fn tick(&mut self, ctx: &mut TickCtx<'_, P>) -> RoundMetrics {
         let n = ctx.states.len();
-        let seed = ctx.seed;
-        let perfect = ctx.fault.is_perfect();
         let tick = match self.queue.peek_time() {
             Some(t) => tick_of(t),
             None => self.next_tick,
         };
         self.next_tick = tick + 1;
 
-        // Availability scan, once per tick (wall-clock coordinate):
-        // same contract as the round engine's phase 0.
-        let offline = &mut ctx.scratch.offline;
-        offline.clear();
-        if !perfect {
-            for (w, word) in offline.words_mut().iter_mut().enumerate() {
-                let base = w * 64;
-                let mut bits = 0u64;
-                for b in 0..64.min(n - base) {
-                    if ctx.fault.offline(seed, tick, (base + b) as NodeId) {
-                        bits |= 1 << b;
-                    }
-                }
-                *word = bits;
-            }
-        }
-        let offline_count = ctx.scratch.offline.count_ones();
+        // Availability scan, once per tick (wall-clock coordinate), on
+        // this thread: the event engine has no parallel phases.
+        let mut tally = Tally {
+            offline: ctx
+                .fate
+                .scan_offline(tick, &mut ctx.scratch.offline, usize::MAX),
+            ..Tally::default()
+        };
 
         // Queue depth is sampled at tick start (its per-run high water is
         // the queue's memory footprint); the pop count below is both a
@@ -684,12 +647,11 @@ impl<P: Protocol> EventCore<P> {
         ctx.recorder
             .high_water(Gauge::HeapDepth, self.queue.len() as u64);
         ctx.recorder.span_start(Phase::Tick);
-        let mut acc = TickAcc::default();
         let mut pops: u64 = 0;
         while self.queue.peek_time().is_some_and(|t| tick_of(t) == tick) {
             let (_, ev) = self.queue.pop().expect("peeked event");
             pops += 1;
-            self.dispatch(tick, ev, ctx, &mut acc);
+            self.dispatch(tick, ev, ctx, &mut tally);
         }
         ctx.recorder.add(Counter::EventPops, pops);
         ctx.recorder.high_water(Gauge::PopsPerTick, pops);
@@ -706,47 +668,9 @@ impl<P: Protocol> EventCore<P> {
             }
         }
 
-        // ---- Tick-end accounting (mirrors the round engine) ----------
-        let (total_load, max_load) = {
-            let mut total = 0u64;
-            let mut max = 0u64;
-            for s in ctx.states.iter() {
-                let l = ctx.protocol.load(s) as u64;
-                total += l;
-                max = max.max(l);
-            }
-            (total, max)
-        };
-        let halted_now = ctx.halted.iter().filter(|&&h| h).count() as u64;
-
-        if !perfect {
-            let deg = &mut ctx.metrics.degradation;
-            deg.link_cuts += acc.cut;
-            deg.byzantine_exposures += acc.byzantine;
-            if ctx.fault.partition_active(seed, tick) {
-                deg.partitioned_rounds += 1;
-                deg.unhealed_partition = true;
-            } else {
-                deg.unhealed_partition = false;
-            }
-        }
-
-        let rm = RoundMetrics {
-            round: ctx.round,
-            vtime: tick,
-            pulls: acc.pulls,
-            pushes: acc.pushes,
-            max_node_work: acc.max_work,
-            served: acc.served,
-            msg_words: acc.push_words + acc.resp_words,
-            total_load,
-            max_load,
-            halted: halted_now,
-            offline: offline_count,
-            dropped: acc.resp_drop + acc.cut + acc.misc_drop,
-            delayed: acc.delayed,
-        };
-        ctx.metrics.rounds.push(rm);
+        let rm = ctx
+            .fate
+            .close(ctx.states, ctx.halted, tick, &tally, ctx.metrics);
 
         // Batch streams for rounds every live node has moved past can
         // never be drawn from again.
@@ -755,23 +679,17 @@ impl<P: Protocol> EventCore<P> {
             .map(|i| self.local_round[i])
             .min();
         match min_live_round {
-            Some(r) => {
-                self.pull_batches.retain(|&k, _| k >= r);
-                self.push_batches.retain(|&k, _| k >= r);
-            }
-            None => {
-                self.pull_batches.clear();
-                self.push_batches.clear();
-            }
+            Some(r) => self.batches.retain(|&(k, _), _| k >= r),
+            None => self.batches.clear(),
         }
         ctx.recorder.span_end(Phase::Tick);
         rm
     }
 
-    fn dispatch(&mut self, tick: u64, ev: Event<P>, ctx: &mut TickCtx<'_, P>, acc: &mut TickAcc) {
+    fn dispatch(&mut self, tick: u64, ev: Event<P>, ctx: &mut TickCtx<'_, P>, tally: &mut Tally) {
         let n = ctx.states.len();
-        let seed = ctx.seed;
-        let perfect = ctx.fault.is_perfect();
+        let seed = ctx.fate.seed;
+        let fate = &ctx.fate;
         match ev {
             Event::StartRound { node } => {
                 let i = node as usize;
@@ -789,42 +707,22 @@ impl<P: Protocol> EventCore<P> {
                     self.restart[i] = true;
                     return;
                 }
-                let out = &mut scratch.queries[i];
-                out.clear();
-                let mut rng = PhaseRng::new(seed, r, u64::from(node), phase::PULL);
-                ctx.protocol.pulls(node, &ctx.states[i], &mut rng, out);
-                let count = out.len();
-                scratch.pull_counts[i] = count as u64;
-                acc.pulls += count as u64;
+                let turn = self.turn(i, true);
+                let count = fate.pulls(turn, &ctx.states[i], &mut scratch.queries[i], tally);
                 let rs = &mut scratch.responses[i];
                 rs.clear();
                 rs.resize_with(count, || None);
                 self.serve_rng[i] = Some(PhaseRng::new(seed, r, u64::from(node), phase::SERVE));
 
-                // Draw this round's pull targets — same streams, same
-                // order as the round engine (V1: this node's own
-                // PULL_TARGET stream in query order; V2: the shared
-                // per-round batch, consumed here in event order).
+                // This round's pull targets: the same draws, in the same
+                // order, as the round engine's refill sweep.
                 let nbrs = ctx.adjacency.map(|a| a.row(i));
                 let mut max_rtt: u64 = 0;
                 if count > 0 {
-                    let mut v1_rng = (ctx.schedule == RngSchedule::V1Compat)
-                        .then(|| derive_rng(seed, r, u64::from(node), phase::PULL_TARGET));
-                    let batch = match v1_rng {
-                        Some(_) => None,
-                        None => Some(self.pull_batches.entry(r).or_insert_with(|| {
-                            BatchDraw::new(seed, r, phase::PULL_TARGET, n, nbrs.is_some())
-                        })),
-                    };
-                    let mut batch = batch;
+                    let mut dests =
+                        batch_dests(&mut self.batches, fate.draws(r, phase::PULL_TARGET), i);
                     for k in 0..count {
-                        let t = match v1_rng.as_mut() {
-                            Some(rng) => match nbrs {
-                                None => rng.gen_range(0..n),
-                                Some(nbrs) => nbrs[rng.gen_range(0..nbrs.len())] as usize,
-                            },
-                            None => batch.as_mut().expect("v2 batch").next(nbrs),
-                        };
+                        let t = dests.next(n, nbrs);
                         let link_out = self.plan.link(seed, node, t as NodeId);
                         let link_back = self.plan.link(seed, t as NodeId, node);
                         let out_delay = u64::from(link_out.latency - 1);
@@ -834,7 +732,7 @@ impl<P: Protocol> EventCore<P> {
                         // reaches its target: the slot stays a failed
                         // pull and no serve work is charged.
                         if self.plan.lossy(seed, tick, node, 0, k as u64) {
-                            acc.misc_drop += 1;
+                            tally.dropped += 1;
                             continue;
                         }
                         self.queue.push(
@@ -862,56 +760,29 @@ impl<P: Protocol> EventCore<P> {
                 resp_delay,
             } => {
                 let i = puller as usize;
-                let t = target as usize;
-                let scratch = &mut *ctx.scratch;
-                if scratch.offline.get(t) {
-                    return; // response slot stays None: a failed pull
-                }
-                if !perfect
-                    && ctx
-                        .fault
-                        .cuts_pull(seed, tick, puller, target, u64::from(k))
-                {
-                    acc.cut += 1;
-                    return;
-                }
+                let scratch = &*ctx.scratch;
+                let route = Route {
+                    round: tick,
+                    from: puller,
+                    to: target,
+                    k: u64::from(k),
+                };
                 let q = &scratch.queries[i][k as usize];
-                let serve_rng = self.serve_rng[i]
+                let rng = self.serve_rng[i]
                     .as_mut()
                     .expect("serve stream set at round start");
-                let response = ctx
-                    .protocol
-                    .serve(target, &ctx.states[t], q, serve_rng)
-                    .map(|served| Response {
-                        msg: served.msg,
-                        from: target,
-                        slot: served.slot,
-                    });
-                if let Some(resp) = response {
-                    acc.served += 1;
-                    acc.resp_words += ctx.protocol.msg_words(&resp.msg) as u64;
-                    if !perfect
-                        && ctx
-                            .fault
-                            .corrupts_response(seed, tick, target, puller, u64::from(k))
-                    {
-                        acc.byzantine += 1;
-                        acc.resp_drop += 1;
-                        return;
-                    }
-                    if !perfect && ctx.fault.drops_response(seed, tick, puller, u64::from(k)) {
-                        acc.resp_drop += 1;
-                        return;
-                    }
-                    if self.plan.lossy(seed, tick, puller, 1, u64::from(k)) {
-                        acc.resp_drop += 1;
-                        return;
-                    }
-                    self.queue.push(
-                        enc(tick + u64::from(resp_delay), CLASS_RESP),
-                        Event::DeliverResponse { puller, k, resp },
-                    );
+                let Some(resp) = fate.serve(route, q, ctx.states, &scratch.offline, rng, tally)
+                else {
+                    return; // the response slot stays None: a failed pull
+                };
+                if self.plan.lossy(seed, tick, puller, 1, u64::from(k)) {
+                    tally.dropped += 1;
+                    return;
                 }
+                self.queue.push(
+                    enc(tick + u64::from(resp_delay), CLASS_RESP),
+                    Event::DeliverResponse { puller, k, resp },
+                );
             }
 
             Event::DeliverResponse { puller, k, resp } => {
@@ -922,76 +793,50 @@ impl<P: Protocol> EventCore<P> {
                 let i = node as usize;
                 let r = self.local_round[i];
                 let scratch = &mut *ctx.scratch;
+                // A node that went offline mid-round (heterogeneous
+                // latency only; under unit latency compute shares the
+                // start-round tick) skips the step, like the round
+                // engine's offline compute.
+                let turn = self.turn(i, !scratch.offline.get(i));
                 let out = &mut scratch.pushes[i];
-                out.clear();
-                scratch.compute_halts[i] = false;
-                if scratch.offline.get(i) {
-                    // Went offline mid-round (heterogeneous latency
-                    // only; impossible under unit, where compute shares
-                    // the start-round tick): skip the step, like the
-                    // round engine's offline compute.
-                    scratch.responses[i].clear();
-                } else {
-                    let resp = &mut scratch.responses[i];
-                    let mut rng = PhaseRng::new(seed, r, u64::from(node), phase::COMPUTE);
-                    scratch.compute_halts[i] =
-                        ctx.protocol
-                            .compute(node, &mut ctx.states[i], resp, &mut rng, out)
-                            == NodeControl::Halt;
-                    resp.clear();
-                }
-                let work = scratch.pull_counts[i] + out.len() as u64;
-                acc.max_work = acc.max_work.max(work);
-                acc.pushes += out.len() as u64;
+                let pulls = scratch.queries[i].len();
+                scratch.compute_halts[i] = fate.compute(
+                    turn,
+                    &mut ctx.states[i],
+                    &mut scratch.responses[i],
+                    out,
+                    pulls,
+                    tally,
+                );
 
+                let nbrs = ctx.adjacency.map(|a| a.row(i));
                 if !out.is_empty() {
-                    let nbrs = ctx.adjacency.map(|a| a.row(i));
-                    let mut v1_rng = (ctx.schedule == RngSchedule::V1Compat)
-                        .then(|| derive_rng(seed, r, u64::from(node), phase::PUSH_DEST));
-                    let mut batch = match v1_rng {
-                        Some(_) => None,
-                        None => Some(self.push_batches.entry(r).or_insert_with(|| {
-                            BatchDraw::new(seed, r, phase::PUSH_DEST, n, nbrs.is_some())
-                        })),
-                    };
+                    let mut dests =
+                        batch_dests(&mut self.batches, fate.draws(r, phase::PUSH_DEST), i);
                     for (k, msg) in out.drain(..).enumerate() {
-                        let words = ctx.protocol.msg_words(&msg) as u64;
-                        acc.push_words += words;
-                        let dest = match v1_rng.as_mut() {
-                            Some(rng) => match nbrs {
-                                None => rng.gen_range(0..n),
-                                Some(nbrs) => nbrs[rng.gen_range(0..nbrs.len())] as usize,
-                            },
-                            None => batch.as_mut().expect("v2 batch").next(nbrs),
+                        let dest = dests.next(n, nbrs);
+                        let route = Route {
+                            round: tick,
+                            from: node,
+                            to: dest as NodeId,
+                            k: k as u64,
                         };
-                        let delay = if perfect {
-                            0
-                        } else {
-                            if ctx
-                                .fault
-                                .cuts_push(seed, tick, node, dest as NodeId, k as u64)
-                            {
-                                acc.cut += 1;
-                                continue;
-                            }
-                            if ctx.fault.drops_push(seed, tick, node, k as u64) {
-                                acc.misc_drop += 1;
-                                continue;
-                            }
-                            ctx.fault.push_delay(seed, tick, node, k as u64)
+                        let Some(delay) = fate.push(route, tally) else {
+                            continue;
                         };
                         if self.plan.lossy(seed, tick, node, 2, k as u64) {
-                            acc.misc_drop += 1;
+                            tally.dropped += 1;
                             continue;
                         }
                         let link = self.plan.link(seed, node, dest as NodeId);
+                        let words = fate.protocol.msg_words(&msg) as u64;
                         let stall = link.serialization_ticks(words);
                         if stall > 0 {
                             ctx.recorder.add(Counter::SerializationStalls, 1);
                         }
                         let deliver = tick + u64::from(link.latency - 1) + stall + delay;
                         if deliver > tick {
-                            acc.delayed += 1;
+                            tally.delayed += 1;
                             self.in_flight += 1;
                         }
                         // Same-tick deliveries also ride the queue: the
@@ -1021,23 +866,17 @@ impl<P: Protocol> EventCore<P> {
                 msg,
             } => {
                 let d = dest as usize;
-                let cross_tick = tick > send_tick;
-                if cross_tick {
+                let crossed = tick > send_tick;
+                if crossed {
                     self.in_flight -= 1;
                 }
-                // A message that outlived a fail-stop sender is dropped
-                // in transit (crash checks apply only to cross-tick
-                // deliveries, as in the round engine's delay queue).
-                if ctx.scratch.offline.get(d)
-                    || (cross_tick && !perfect && ctx.fault.crashed(seed, tick, sender))
+                // The round engine delivers to a halted node's inbox and
+                // its absorb clears it unread; with no absorb event
+                // left, discard at delivery — same observable effect,
+                // not a drop.
+                if fate.arrives(tick, sender, d, crossed, &ctx.scratch.offline, tally)
+                    && !ctx.halted[d]
                 {
-                    acc.misc_drop += 1;
-                } else if ctx.halted[d] {
-                    // The round engine delivers to a halted node's inbox
-                    // and its absorb clears it unread; with no absorb
-                    // event left, discard at delivery — same observable
-                    // effect, not a drop.
-                } else {
                     ctx.scratch.inboxes[d].push(msg);
                 }
             }
@@ -1046,22 +885,9 @@ impl<P: Protocol> EventCore<P> {
                 let i = node as usize;
                 let r = self.local_round[i];
                 let scratch = &mut *ctx.scratch;
-                let inbox = &mut scratch.inboxes[i];
-                let mut halt = scratch.compute_halts[i];
-                if scratch.offline.get(i) {
-                    inbox.clear();
-                    halt = false;
-                } else {
-                    let mut rng = PhaseRng::new(seed, r, u64::from(node), phase::ABSORB);
-                    if ctx
-                        .protocol
-                        .absorb(node, &mut ctx.states[i], inbox, &mut rng)
-                        == NodeControl::Halt
-                    {
-                        halt = true;
-                    }
-                    inbox.clear();
-                }
+                let turn = self.turn(i, !scratch.offline.get(i));
+                let computed = scratch.compute_halts[i];
+                let halt = fate.absorb(turn, &mut ctx.states[i], &mut scratch.inboxes[i], computed);
                 self.serve_rng[i] = None;
                 if halt {
                     ctx.halted[i] = true;

@@ -69,7 +69,7 @@
 //! `V1Compat` reproduces the original per-node streams bit-for-bit,
 //! while the default `V2Batched` draws them from one block-batched
 //! stream per (seed, round, phase) through a Lemire rejection sampler
-//! ([`rng::BatchedUniform`]) — different bitstreams, same protocol
+//! ([`rng::BatchedSampler`]) — different bitstreams, same protocol
 //! outcomes, each individually deterministic.
 //!
 //! ## Memory model
@@ -93,6 +93,7 @@ pub mod obs;
 pub mod protocol;
 pub mod rng;
 pub mod scratch;
+mod step;
 pub mod topology;
 
 pub use event::{Engine, EventQueue, Link, LinkPlan};
@@ -105,7 +106,7 @@ pub use metrics::{Degradation, Metrics, RoundMetrics};
 pub use net::{Network, NetworkConfig, RunOutcome};
 pub use obs::{FlightRecorder, Histogram, NoopRecorder, ObsSummary, Recorder};
 pub use protocol::{NodeControl, Protocol, Response, Served};
-pub use rng::{BatchedSampler, BatchedUniform, PhaseRng, RngSchedule};
+pub use rng::{BatchedSampler, PhaseRng, RngSchedule};
 pub use topology::{Adjacency, IntoTopology, Topology};
 
 /// Identifier of a node within one simulated network (dense `0..n`).

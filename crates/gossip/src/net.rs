@@ -4,12 +4,12 @@ use crate::event::{Engine, EventCore, TickCtx};
 use crate::fault::{FaultModel, IntoFaultModel, Perfect};
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::obs::{NoopRecorder, Phase, Recorder};
-use crate::protocol::{NodeControl, Protocol, Response};
-use crate::rng::{derive_rng, phase, PhaseRng, RngSchedule};
-use crate::scratch::{RoundScratch, ServeStats};
+use crate::protocol::Protocol;
+use crate::rng::{phase, PhaseRng, RngSchedule};
+use crate::scratch::{refill_dest_rows, RoundScratch};
+use crate::step::{Fate, Route, Tally, Turn};
 use crate::topology::{Adjacency, Complete, IntoTopology, Topology};
 use crate::NodeId;
-use rand::Rng;
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -321,497 +321,206 @@ impl<P: Protocol> Network<P> {
     /// Simulates one round; returns that round's metrics.
     ///
     /// Every phase below refills a buffer owned by the network's
-    /// `RoundScratch`; nothing is allocated in steady state. Each
+    /// `RoundScratch`; nothing is allocated in steady state. What each
+    /// node and message does inside a phase is decided by the shared
+    /// step module, the same code the event engine dispatches. Each
     /// node's RNG streams are derived from `(seed, round, node, phase)`
     /// alone and every parallel phase writes only to disjoint per-node
     /// (or per-word) `&mut` rows, so sequential and rayon-parallel
-    /// stepping — now real threads claiming contiguous node chunks —
-    /// are byte-identical under any chunk schedule.
+    /// stepping — real threads claiming contiguous node chunks — are
+    /// byte-identical under any chunk schedule.
     ///
     /// The seq/par decision is explicit: the parallel path is taken
     /// only when the config asks for it, `n` clears the threshold, and
     /// the ambient pool actually has more than one thread (a one-worker
     /// pool would pay region-dispatch overhead to run sequentially
     /// anyway — this is the `effective_parallelism() == 1` case the
-    /// driver surfaces instead of silently ignoring the knob).
+    /// driver surfaces instead of silently ignoring the knob). Each
+    /// phase is one loop either way: a sequential round runs it under
+    /// `with_min_len(usize::MAX)`, which keeps it on the calling thread
+    /// without dispatching a pool region.
     pub fn round(&mut self) -> RoundMetrics {
         if self.event.is_some() {
             return self.event_round();
         }
-        let n = self.states.len();
-        let seed = self.cfg.seed;
+        let min_len = if self.effective_parallelism() > 1 {
+            1
+        } else {
+            usize::MAX
+        };
         let round = self.round;
-        let par = self.effective_parallelism() > 1;
-        let protocol = &self.protocol;
-        let fault = Arc::clone(&self.cfg.fault);
-        let perfect = fault.is_perfect();
-        let schedule = self.cfg.schedule;
+        let seed = self.cfg.seed;
+        let fate = Fate::new(&self.protocol, &self.cfg);
         let adj = self.adjacency.as_ref();
         let rec: &mut dyn Recorder = &mut *self.recorder;
         let RoundScratch {
             offline,
             queries,
             responses,
-            serve_stats,
-            pull_counts,
+            tallies,
             pull_targets,
             pushes,
             compute_halts,
             push_dests,
             inboxes,
-            absorb_halts,
         } = &mut self.scratch;
 
-        // ---- Phase 0: fault-model availability scan --------------------
-        // One availability answer per node per round, shared by every
-        // phase (the model must answer consistently anyway; scanning once
-        // keeps the hook call count at n per round). The bitset is filled
-        // one 64-node word per task, so the parallel path races on
-        // nothing.
-        offline.clear();
-        if !perfect {
-            let fault = &fault;
-            let fill = |w: usize, word: &mut u64| {
-                let base = w * 64;
-                let mut bits = 0u64;
-                for b in 0..64.min(n - base) {
-                    if fault.offline(seed, round, (base + b) as NodeId) {
-                        bits |= 1 << b;
-                    }
-                }
-                *word = bits;
-            };
-            if par {
-                offline
-                    .words_mut()
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(w, word)| fill(w, word));
-            } else {
-                for (w, word) in offline.words_mut().iter_mut().enumerate() {
-                    fill(w, word);
-                }
-            }
-        }
-        let offline_count = offline.count_ones();
+        let mut tally = Tally {
+            offline: fate.scan_offline(round, offline, min_len),
+            ..Tally::default()
+        };
         let offline = &*offline;
+        let halted = &self.halted;
+        let turn = |i: usize| Turn {
+            round,
+            node: i,
+            live: !halted[i] && !offline.get(i),
+        };
 
         // ---- Phase 1: pull requests -----------------------------------
-        // The pull count is recorded as each row is emitted, so no
-        // later pass re-walks the query rows.
         rec.span_start(Phase::Pull);
-        {
-            let states = &self.states;
-            let halted = &self.halted;
-            let emit = |i: usize, out: &mut Vec<P::Query>, count: &mut u64| {
-                out.clear();
-                if halted[i] || offline.get(i) {
-                    *count = 0;
-                    return;
-                }
-                let mut rng = PhaseRng::new(seed, round, i as u64, phase::PULL);
-                protocol.pulls(i as NodeId, &states[i], &mut rng, out);
-                *count = out.len() as u64;
-            };
-            if par {
-                queries
-                    .par_iter_mut()
-                    .zip(pull_counts.par_iter_mut())
-                    .enumerate()
-                    .for_each(|(i, (out, count))| emit(i, out, count));
-            } else {
-                for (i, (out, count)) in queries.iter_mut().zip(pull_counts.iter_mut()).enumerate()
-                {
-                    emit(i, out, count);
-                }
-            }
-        }
+        let states = &self.states;
+        queries
+            .par_iter_mut()
+            .zip(tallies.par_iter_mut())
+            .enumerate()
+            .with_min_len(min_len)
+            .for_each(|(i, (out, t))| {
+                *t = Tally::default();
+                fate.pulls(turn(i), &states[i], out, t);
+            });
         rec.span_end(Phase::Pull);
+        let queries = &*queries;
 
-        // ---- V2 batch sweep: pull targets ------------------------------
-        // One key schedule for the whole round's PULL_TARGET draws,
-        // consumed in node order (then query order), so the sweep is a
-        // pure function of (seed, round, phase) and the per-node pull
-        // counts — identical under sequential and parallel stepping,
-        // which only ever read the pre-filled rows. Under a non-complete
-        // topology the same keystream is spent on *neighbor-list
-        // indices* (each draw Lemire-bounded by the drawing node's
-        // degree) and resolved through the CSR arena, so the rows always
-        // hold final node ids either way (the sweep itself lives with
-        // the scratch it refills; see `scratch::refill_dest_rows`).
-        if schedule == RngSchedule::V2Batched {
-            crate::scratch::refill_dest_rows(
-                pull_targets,
-                &mut pull_counts.iter().map(|&c| c as usize),
-                crate::scratch::RefillKeys {
-                    seed,
-                    round,
-                    phase: phase::PULL_TARGET,
-                },
-                n,
-                adj,
-                rec,
-            );
-        }
+        // ---- Destination sweep: pull targets ---------------------------
+        // Sequential and in node order, so the V2 batch stream is
+        // consumed identically however the phases around it are
+        // stepped (see `scratch::refill_dest_rows`).
+        let counts = queries.iter().map(Vec::len);
+        refill_dest_rows(
+            pull_targets,
+            counts,
+            fate.draws(round, phase::PULL_TARGET),
+            adj,
+            rec,
+        );
+        let pull_targets = &*pull_targets;
 
         // ---- Phase 2: serve pulls against the start-of-round snapshot --
-        // A pull that targets an offline node fails (`None`), exactly
-        // like a pull a protocol chose not to serve; a served response
-        // may additionally be lost in transit, which also surfaces to
-        // the puller as a failed pull but still counts as served work
-        // and transmitted words (metrics account messages as *sent*,
-        // with losses itemized under `dropped`).
         rec.span_start(Phase::Serve);
-        {
-            let states = &self.states;
-            let queries = &*queries;
-            let pull_targets = &*pull_targets;
-            let fault = &fault;
-            let serve = |i: usize,
-                         rs: &mut Vec<Option<Response<P::Msg>>>,
-                         stats: &mut ServeStats| {
+        responses
+            .par_iter_mut()
+            .zip(tallies.par_iter_mut())
+            .enumerate()
+            .with_min_len(min_len)
+            .for_each(|(i, (rs, t))| {
                 rs.clear();
-                *stats = ServeStats::default();
-                let qs = &queries[i];
-                if qs.is_empty() {
-                    return;
-                }
-                // V1: targets come from this node's own lazily derived
-                // stream (drawing a node id under Complete, a
-                // neighbor-list index otherwise); V2: from the
-                // pre-filled batched row, already resolved to node ids.
-                let mut target_rng = (schedule == RngSchedule::V1Compat)
-                    .then(|| derive_rng(seed, round, i as u64, phase::PULL_TARGET));
-                let mut serve_rng = PhaseRng::new(seed, round, i as u64, phase::SERVE);
-                let nbrs = adj.map(|a| a.row(i));
-                for (k, q) in qs.iter().enumerate() {
-                    let t = match target_rng.as_mut() {
-                        Some(rng) => match nbrs {
-                            None => rng.gen_range(0..n),
-                            Some(nbrs) => nbrs[rng.gen_range(0..nbrs.len())] as usize,
-                        },
-                        None => pull_targets[i][k] as usize,
+                let mut rng = PhaseRng::new(seed, round, i as u64, phase::SERVE);
+                for (k, (q, &to)) in queries[i].iter().zip(&pull_targets[i]).enumerate() {
+                    let route = Route {
+                        round,
+                        from: i as NodeId,
+                        to,
+                        k: k as u64,
                     };
-                    if offline.get(t) {
-                        rs.push(None);
-                        continue;
-                    }
-                    // A severed link kills the *request*: the target is
-                    // never reached, so no serving work or words are
-                    // charged (unlike a dropped response below).
-                    if !perfect && fault.cuts_pull(seed, round, i as NodeId, t as NodeId, k as u64)
-                    {
-                        stats.cut += 1;
-                        rs.push(None);
-                        continue;
-                    }
-                    let response = protocol
-                        .serve(t as NodeId, &states[t], q, &mut serve_rng)
-                        .map(|served| Response {
-                            msg: served.msg,
-                            from: t as NodeId,
-                            slot: served.slot,
-                        });
-                    if let Some(r) = &response {
-                        stats.served += 1;
-                        stats.words += protocol.msg_words(&r.msg) as u64;
-                        // A corrupted response arrives but is detected
-                        // and discarded by the puller; the server still
-                        // paid the work and the words.
-                        if !perfect
-                            && fault.corrupts_response(
-                                seed,
-                                round,
-                                t as NodeId,
-                                i as NodeId,
-                                k as u64,
-                            )
-                        {
-                            stats.byzantine += 1;
-                            stats.dropped += 1;
-                            rs.push(None);
-                            continue;
-                        }
-                        if !perfect && fault.drops_response(seed, round, i as NodeId, k as u64) {
-                            stats.dropped += 1;
-                            rs.push(None);
-                            continue;
-                        }
-                    }
-                    rs.push(response);
+                    rs.push(fate.serve(route, q, states, offline, &mut rng, t));
                 }
-            };
-            if par {
-                responses
-                    .par_iter_mut()
-                    .zip(serve_stats.par_iter_mut())
-                    .enumerate()
-                    .for_each(|(i, (rs, st))| serve(i, rs, st));
-            } else {
-                for (i, (rs, st)) in responses.iter_mut().zip(serve_stats.iter_mut()).enumerate() {
-                    serve(i, rs, st);
-                }
-            }
-        }
-        // Served work and transmitted words include responses later
-        // lost in transit — the server did the work and sent the bytes
-        // (losses are itemized under `dropped`).
-        let mut served: u64 = 0;
-        let mut response_words: u64 = 0;
-        let mut response_drop_total: u64 = 0;
-        let mut cut_total: u64 = 0;
-        let mut byzantine_total: u64 = 0;
-        for st in serve_stats.iter() {
-            served += st.served;
-            response_words += st.words;
-            response_drop_total += st.dropped;
-            cut_total += st.cut;
-            byzantine_total += st.byzantine;
-        }
+            });
         rec.span_end(Phase::Serve);
 
         // ---- Phase 3: compute + emit pushes ----------------------------
         rec.span_start(Phase::Compute);
-        {
-            let halted = &self.halted;
-            let step = |i: usize,
-                        state: &mut P::State,
-                        resp: &mut Vec<Option<Response<P::Msg>>>,
-                        out: &mut Vec<P::Msg>,
-                        halt: &mut bool| {
-                out.clear();
-                *halt = false;
-                if halted[i] || offline.get(i) {
-                    resp.clear();
-                    return;
-                }
-                let mut rng = PhaseRng::new(seed, round, i as u64, phase::COMPUTE);
-                *halt =
-                    protocol.compute(i as NodeId, state, resp, &mut rng, out) == NodeControl::Halt;
-                resp.clear();
-            };
-            if par {
-                self.states
-                    .par_iter_mut()
-                    .zip(responses.par_iter_mut())
-                    .zip(pushes.par_iter_mut())
-                    .zip(compute_halts.par_iter_mut())
-                    .enumerate()
-                    .for_each(|(i, (((state, resp), out), halt))| step(i, state, resp, out, halt));
-            } else {
-                for (i, (((state, resp), out), halt)) in self
-                    .states
-                    .iter_mut()
-                    .zip(responses.iter_mut())
-                    .zip(pushes.iter_mut())
-                    .zip(compute_halts.iter_mut())
-                    .enumerate()
-                {
-                    step(i, state, resp, out, halt);
-                }
-            }
+        self.states
+            .par_iter_mut()
+            .zip(responses.par_iter_mut())
+            .zip(pushes.par_iter_mut())
+            .zip(compute_halts.par_iter_mut())
+            .zip(tallies.par_iter_mut())
+            .enumerate()
+            .with_min_len(min_len)
+            .for_each(|(i, ((((state, rs), out), halt), t))| {
+                *halt = fate.compute(turn(i), state, rs, out, queries[i].len(), t);
+            });
+        for t in tallies.iter() {
+            tally.merge(t);
         }
         rec.span_end(Phase::Compute);
 
-        // ---- V2 batch sweep: push destinations -------------------------
-        // As with pull targets: one PUSH_DEST key schedule per round,
-        // consumed in (node, message) order into the scratch rows the
-        // delivery loop then reads.
-        if schedule == RngSchedule::V2Batched {
-            crate::scratch::refill_dest_rows(
-                push_dests,
-                &mut pushes.iter().map(Vec::len),
-                crate::scratch::RefillKeys {
-                    seed,
-                    round,
-                    phase: phase::PUSH_DEST,
-                },
-                n,
-                adj,
-                rec,
-            );
-        }
+        // ---- Destination sweep: push destinations ----------------------
+        let counts = pushes.iter().map(Vec::len);
+        refill_dest_rows(
+            push_dests,
+            counts,
+            fate.draws(round, phase::PUSH_DEST),
+            adj,
+            rec,
+        );
 
         // ---- Phase 4: deliver pushes, absorb ---------------------------
         rec.span_start(Phase::Deliver);
         // Payloads are moved (drained), never cloned: each push has
         // exactly one destination — the inbox, the delay queue, or the
-        // floor.
-        let mut dropped: u64 = response_drop_total + cut_total;
-        let mut delayed: u64 = 0;
-        let mut pushes_total: u64 = 0;
-        let mut push_words: u64 = 0;
-        let mut max_work: u64 = 0;
-        // Delayed messages due this round arrive first (they are older);
-        // a destination that is offline at delivery time loses them, and
-        // a message whose *sender* permanently crashed while it was in
-        // flight is dropped in transit — a fail-stop crash silences the
-        // node's outstanding traffic, it does not grant it a posthumous
-        // voice. (Transiently offline senders' messages still arrive:
-        // [`FaultModel::crashed`] answers `true` only for permanent
-        // crashes.) The emptied slot retires to the pool with its
+        // floor. Delayed messages due this round arrive first (they
+        // are older); the emptied slot retires to the pool with its
         // capacity intact.
         if let Some(mut due) = self.pending.pop_front() {
             for (dest, sender, msg) in due.drain(..) {
-                if offline.get(dest) || (!perfect && fault.crashed(seed, round, sender)) {
-                    dropped += 1;
-                } else {
+                if fate.arrives(round, sender, dest, true, offline, &mut tally) {
                     inboxes[dest].push(msg);
                 }
             }
             self.pending_pool.push(due);
         }
-        for (i, out) in pushes.iter_mut().enumerate() {
-            let work = pull_counts[i] + out.len() as u64;
-            max_work = max_work.max(work);
-            pushes_total += out.len() as u64;
-            if out.is_empty() {
-                continue;
-            }
-            let mut dest_rng = (schedule == RngSchedule::V1Compat)
-                .then(|| derive_rng(seed, round, i as u64, phase::PUSH_DEST));
-            let nbrs = adj.map(|a| a.row(i));
-            for (k, msg) in out.drain(..).enumerate() {
-                push_words += protocol.msg_words(&msg) as u64;
-                // The destination is fixed per message (V1: drawn here,
-                // unconditionally; V2: pre-drawn by the batch sweep) so
-                // the uniform-gossip stream is identical whatever the
-                // fault model decides about this message. Non-complete
-                // topologies draw a neighbor-list index and resolve it
-                // through the arena.
-                let dest = match dest_rng.as_mut() {
-                    Some(rng) => match nbrs {
-                        None => rng.gen_range(0..n),
-                        Some(nbrs) => nbrs[rng.gen_range(0..nbrs.len())] as usize,
-                    },
-                    None => push_dests[i][k] as usize,
+        for (i, (out, dests)) in pushes.iter_mut().zip(push_dests.iter()).enumerate() {
+            for (k, (msg, &to)) in out.drain(..).zip(dests).enumerate() {
+                let route = Route {
+                    round,
+                    from: i as NodeId,
+                    to,
+                    k: k as u64,
                 };
-                if perfect {
-                    inboxes[dest].push(msg);
-                    continue;
-                }
-                // Link-level severing is decided against the resolved
-                // destination (topology-aware), before the i.i.d. loss
-                // and delay draws.
-                if fault.cuts_push(seed, round, i as NodeId, dest as NodeId, k as u64) {
-                    dropped += 1;
-                    cut_total += 1;
-                    continue;
-                }
-                if fault.drops_push(seed, round, i as NodeId, k as u64) {
-                    dropped += 1;
-                    continue;
-                }
-                let delay = fault.push_delay(seed, round, i as NodeId, k as u64);
-                if delay == 0 {
-                    if offline.get(dest) {
-                        dropped += 1;
-                    } else {
-                        inboxes[dest].push(msg);
+                match fate.push(route, &mut tally) {
+                    None => {}
+                    Some(0) => {
+                        let dest = to as usize;
+                        if fate.arrives(round, route.from, dest, false, offline, &mut tally) {
+                            inboxes[dest].push(msg);
+                        }
                     }
-                } else {
-                    delayed += 1;
-                    let slot = (delay - 1) as usize;
-                    while self.pending.len() <= slot {
-                        self.pending
-                            .push_back(self.pending_pool.pop().unwrap_or_default());
+                    Some(delay) => {
+                        tally.delayed += 1;
+                        let slot = (delay - 1) as usize;
+                        while self.pending.len() <= slot {
+                            self.pending
+                                .push_back(self.pending_pool.pop().unwrap_or_default());
+                        }
+                        self.pending[slot].push((to as usize, route.from, msg));
                     }
-                    self.pending[slot].push((dest, i as NodeId, msg));
                 }
             }
         }
         rec.span_end(Phase::Deliver);
 
         rec.span_start(Phase::Absorb);
-        {
-            let halted = &self.halted;
-            let step =
-                |i: usize, state: &mut P::State, inbox: &mut Vec<P::Msg>, halt: &mut bool| {
-                    *halt = false;
-                    if halted[i] || offline.get(i) {
-                        inbox.clear();
-                        return;
-                    }
-                    let mut rng = PhaseRng::new(seed, round, i as u64, phase::ABSORB);
-                    *halt =
-                        protocol.absorb(i as NodeId, state, inbox, &mut rng) == NodeControl::Halt;
-                    inbox.clear();
+        self.states
+            .par_iter_mut()
+            .zip(inboxes.par_iter_mut())
+            .zip(compute_halts.par_iter())
+            .zip(self.halted.par_iter_mut())
+            .enumerate()
+            .with_min_len(min_len)
+            .for_each(|(i, (((state, inbox), &computed), halted))| {
+                let turn = Turn {
+                    round,
+                    node: i,
+                    live: !*halted && !offline.get(i),
                 };
-            if par {
-                self.states
-                    .par_iter_mut()
-                    .zip(inboxes.par_iter_mut())
-                    .zip(absorb_halts.par_iter_mut())
-                    .enumerate()
-                    .for_each(|(i, ((state, inbox), halt))| step(i, state, inbox, halt));
-            } else {
-                for (i, ((state, inbox), halt)) in self
-                    .states
-                    .iter_mut()
-                    .zip(inboxes.iter_mut())
-                    .zip(absorb_halts.iter_mut())
-                    .enumerate()
-                {
-                    step(i, state, inbox, halt);
-                }
-            }
-        }
+                *halted |= fate.absorb(turn, state, inbox, computed);
+            });
         rec.span_end(Phase::Absorb);
 
-        for i in 0..n {
-            if compute_halts[i] || absorb_halts[i] {
-                self.halted[i] = true;
-            }
-        }
-
-        // ---- Metrics ----------------------------------------------------
-        let (total_load, max_load) = {
-            let loads = self.states.iter().map(|s| protocol.load(s) as u64);
-            let mut total = 0u64;
-            let mut max = 0u64;
-            for l in loads {
-                total += l;
-                max = max.max(l);
-            }
-            (total, max)
-        };
-        let halted_now = self.halted.iter().filter(|&&h| h).count() as u64;
-
-        // ---- Degradation accounting ------------------------------------
-        // Structured-failure tallies for the adversarial models; all of
-        // this stays zero (and costs one branch) under `Perfect` and the
-        // i.i.d. models, whose hooks answer the defaults.
-        if !perfect {
-            let deg = &mut self.metrics.degradation;
-            deg.link_cuts += cut_total;
-            deg.byzantine_exposures += byzantine_total;
-            if fault.partition_active(seed, round) {
-                deg.partitioned_rounds += 1;
-                deg.unhealed_partition = true;
-            } else {
-                // Tracks the *final* round's state: healed runs clear it.
-                deg.unhealed_partition = false;
-            }
-        }
-
-        let rm = RoundMetrics {
-            round,
-            vtime: round,
-            pulls: pull_counts.iter().sum(),
-            pushes: pushes_total,
-            max_node_work: max_work,
-            served,
-            msg_words: push_words + response_words,
-            total_load,
-            max_load,
-            halted: halted_now,
-            offline: offline_count,
-            dropped,
-            delayed,
-        };
-        self.metrics.rounds.push(rm);
         self.round += 1;
-        rm
+        fate.close(&self.states, &self.halted, round, &tally, &mut self.metrics)
     }
 
     /// One `round()` under the event engine: advance virtual time to
@@ -820,23 +529,15 @@ impl<P: Protocol> Network<P> {
     /// shares them), so each tick borrows them through a `TickCtx`.
     fn event_round(&mut self) -> RoundMetrics {
         let mut core = self.event.take().expect("event engine selected");
-        let fault = Arc::clone(&self.cfg.fault);
-        let rm = {
-            let mut ctx = TickCtx {
-                protocol: &self.protocol,
-                states: &mut self.states,
-                halted: &mut self.halted,
-                scratch: &mut self.scratch,
-                metrics: &mut self.metrics,
-                adjacency: self.adjacency.as_ref(),
-                seed: self.cfg.seed,
-                fault: fault.as_ref(),
-                schedule: self.cfg.schedule,
-                round: self.round,
-                recorder: &mut *self.recorder,
-            };
-            core.tick(&mut ctx)
-        };
+        let rm = core.tick(&mut TickCtx {
+            fate: Fate::new(&self.protocol, &self.cfg),
+            states: &mut self.states,
+            halted: &mut self.halted,
+            scratch: &mut self.scratch,
+            metrics: &mut self.metrics,
+            adjacency: self.adjacency.as_ref(),
+            recorder: &mut *self.recorder,
+        });
         self.event = Some(core);
         self.round += 1;
         rm
@@ -870,8 +571,7 @@ impl<P: Protocol> Network<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Served;
-    use crate::rng::PhaseRng;
+    use crate::protocol::{NodeControl, Response, Served};
 
     /// Push-based rumor spreading: informed nodes push one token per
     /// round; nodes halt one round after becoming informed... they halt

@@ -12,10 +12,11 @@
 //! (`PULL_TARGET`, `PUSH_DEST`) come from is versioned by
 //! [`RngSchedule`]: the per-node streams above
 //! ([`RngSchedule::V1Compat`]) or one block-batched stream per
-//! (seed, round, phase) consumed through a [`BatchedUniform`] sampler
-//! ([`RngSchedule::V2Batched`], the default). Protocol hooks and fault
-//! models are unaffected — their streams are identical under every
-//! schedule.
+//! (seed, round, phase) consumed through a [`BatchedSampler`]
+//! ([`RngSchedule::V2Batched`], the default), whose bound is the node
+//! count under the complete topology and the drawing node's degree on
+//! an overlay. Protocol hooks and fault models are unaffected — their
+//! streams are identical under every schedule.
 
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -96,7 +97,7 @@ pub enum RngSchedule {
     /// The batched layout (default): one block-batched ChaCha8
     /// keystream per (seed, round, phase) — derived with the
     /// [`BATCH_STREAM_NODE`] coordinate — converted to bounded-uniform
-    /// destinations by a [`BatchedUniform`] Lemire widening-multiply
+    /// destinations by a [`BatchedSampler`] Lemire widening-multiply
     /// rejection pass that fills the per-round `pull_targets` /
     /// `push_dests` scratch buffers in one sweep. Removes the
     /// per-node key-schedule floor (~60% of a saturated rumor round
@@ -124,9 +125,10 @@ impl RngSchedule {
     }
 }
 
-/// Batched bounded-uniform sampler over `0..bound` for one
-/// (seed, round, phase) stream — the [`RngSchedule::V2Batched`] draw
-/// path.
+/// Batched bounded-uniform sampler over one `(seed, round, phase)`
+/// batch stream — the [`RngSchedule::V2Batched`] draw path, with a
+/// bound chosen per draw (the node count under the complete topology,
+/// the drawing node's degree on an overlay).
 ///
 /// One ChaCha8 key schedule is paid at construction; every draw then
 /// consumes 64-bit words from the block-buffered keystream and converts
@@ -136,62 +138,16 @@ impl RngSchedule {
 /// `bound / 2^64` is rejected, so almost every draw costs exactly one
 /// multiply and one comparison). Acceptance-by-threshold makes the
 /// sampler exactly uniform: each of the `bound` outcomes owns the same
-/// number of accepted words.
+/// number of accepted words. The threshold is cached for the last
+/// bound, so a sweep at one bound pays its modulo once.
 #[derive(Debug)]
-pub struct BatchedUniform {
+pub struct BatchedSampler {
     rng: ChaCha8Rng,
+    /// The bound `threshold` belongs to (0 before the first draw).
     bound: u64,
     /// `2^64 mod bound`: words whose widened low half falls below this
     /// are rejected (zero for power-of-two bounds — no rejection).
     threshold: u64,
-}
-
-impl BatchedUniform {
-    /// The sampler for the `(seed, round, phase)` batch stream with
-    /// outcomes in `0..bound`.
-    ///
-    /// # Panics
-    /// Panics when `bound == 0` (an empty outcome set cannot be
-    /// sampled).
-    pub fn new(seed: u64, round: u64, phase: u64, bound: usize) -> Self {
-        assert!(bound > 0, "BatchedUniform needs a non-empty range");
-        let bound = bound as u64;
-        BatchedUniform {
-            rng: derive_rng(seed, round, BATCH_STREAM_NODE, phase),
-            bound,
-            threshold: bound.wrapping_neg() % bound,
-        }
-    }
-
-    /// The next uniform index in `0..bound`.
-    #[inline]
-    pub fn next_index(&mut self) -> usize {
-        let bound = u128::from(self.bound);
-        loop {
-            let m = u128::from(self.rng.next_u64()) * bound;
-            if (m as u64) >= self.threshold {
-                return (m >> 64) as usize;
-            }
-        }
-    }
-}
-
-/// Batched bounded-uniform sampler with a **per-draw** bound, over the
-/// same `(seed, round, phase)` batch stream as [`BatchedUniform`] —
-/// the [`RngSchedule::V2Batched`] draw path for non-complete
-/// [topologies](crate::topology), where each node's draws are bounded
-/// by its own degree.
-///
-/// The keystream is identical to [`BatchedUniform`]'s for the same
-/// coordinates, and each draw performs the same Lemire
-/// widening-multiply rejection — so for a constant bound the two
-/// samplers produce identical sequences (tested). The only difference
-/// is that the rejection threshold (`2^64 mod bound`) is recomputed
-/// per draw instead of once: one extra integer modulo, which a
-/// degree-bounded sweep amortizes exactly like the fixed-bound sweep.
-#[derive(Debug)]
-pub struct BatchedSampler {
-    rng: ChaCha8Rng,
 }
 
 impl BatchedSampler {
@@ -199,6 +155,8 @@ impl BatchedSampler {
     pub fn new(seed: u64, round: u64, phase: u64) -> Self {
         BatchedSampler {
             rng: derive_rng(seed, round, BATCH_STREAM_NODE, phase),
+            bound: 0,
+            threshold: 0,
         }
     }
 
@@ -209,13 +167,16 @@ impl BatchedSampler {
     /// sampled; topology arenas guarantee non-empty neighbor rows).
     #[inline]
     pub fn next_in(&mut self, bound: usize) -> usize {
-        debug_assert!(bound > 0, "BatchedSampler needs a non-empty range");
+        assert!(bound > 0, "BatchedSampler needs a non-empty range");
         let bound = bound as u64;
-        let threshold = bound.wrapping_neg() % bound;
-        let bound = u128::from(bound);
+        if bound != self.bound {
+            self.bound = bound;
+            self.threshold = bound.wrapping_neg() % bound;
+        }
+        let wide = u128::from(bound);
         loop {
-            let m = u128::from(self.rng.next_u64()) * bound;
-            if (m as u64) >= threshold {
+            let m = u128::from(self.rng.next_u64()) * wide;
+            if (m as u64) >= self.threshold {
                 return (m >> 64) as usize;
             }
         }
@@ -342,57 +303,91 @@ mod tests {
     }
 
     #[test]
-    fn batched_uniform_is_deterministic_and_in_range() {
+    fn batched_sampler_is_deterministic_and_in_range() {
         let draw = |count: usize| -> Vec<usize> {
-            let mut s = BatchedUniform::new(11, 3, phase::PUSH_DEST, 1000);
-            (0..count).map(|_| s.next_index()).collect()
+            let mut s = BatchedSampler::new(11, 3, phase::PUSH_DEST);
+            (0..count).map(|_| s.next_in(1000)).collect()
         };
         let a = draw(512);
         let b = draw(512);
         assert_eq!(a, b, "same coordinates, same sequence");
         assert!(a.iter().all(|&v| v < 1000));
         // A different phase gives an independent stream.
-        let mut other = BatchedUniform::new(11, 3, phase::PULL_TARGET, 1000);
-        let c: Vec<usize> = (0..512).map(|_| other.next_index()).collect();
+        let mut other = BatchedSampler::new(11, 3, phase::PULL_TARGET);
+        let c: Vec<usize> = (0..512).map(|_| other.next_in(1000)).collect();
         assert_ne!(a, c);
     }
 
+    /// Lemire rejection computed from scratch for every draw, over the
+    /// raw batch keystream: the reference the cached-threshold sampler
+    /// must match word for word.
+    fn reference_lemire(seed: u64, round: u64, phase: u64) -> impl FnMut(usize) -> usize {
+        let mut raw = derive_rng(seed, round, BATCH_STREAM_NODE, phase);
+        move |bound| {
+            let bound = bound as u64;
+            let threshold = bound.wrapping_neg() % bound;
+            loop {
+                let m = u128::from(rand::RngCore::next_u64(&mut raw)) * u128::from(bound);
+                if (m as u64) >= threshold {
+                    return (m >> 64) as usize;
+                }
+            }
+        }
+    }
+
     #[test]
-    fn batched_uniform_matches_reference_lemire_on_raw_stream() {
+    fn batched_sampler_matches_reference_lemire_on_raw_stream() {
         // The sampler must be exactly Lemire rejection over the derived
         // keystream — no hidden buffering or word skipping.
-        let bound: u64 = 97;
-        let mut raw = derive_rng(5, 7, BATCH_STREAM_NODE, phase::PUSH_DEST);
-        let threshold = bound.wrapping_neg() % bound;
-        let mut reference = || loop {
-            let m = u128::from(rand::RngCore::next_u64(&mut raw)) * u128::from(bound);
-            if (m as u64) >= threshold {
-                return (m >> 64) as usize;
-            }
-        };
-        let mut sampler = BatchedUniform::new(5, 7, phase::PUSH_DEST, bound as usize);
+        let mut reference = reference_lemire(5, 7, phase::PUSH_DEST);
+        let mut sampler = BatchedSampler::new(5, 7, phase::PUSH_DEST);
         for _ in 0..4096 {
-            assert_eq!(sampler.next_index(), reference());
+            assert_eq!(sampler.next_in(97), reference(97));
         }
     }
 
     #[test]
     #[should_panic(expected = "non-empty range")]
-    fn batched_uniform_rejects_zero_bound() {
-        let _ = BatchedUniform::new(0, 0, 0, 0);
+    fn batched_sampler_rejects_zero_bound() {
+        let _ = BatchedSampler::new(0, 0, 0).next_in(0);
     }
 
-    /// `BatchedSampler` at a constant bound must replay `BatchedUniform`
-    /// exactly: same keystream coordinates, same Lemire rejection — the
-    /// per-draw bound generalization may not shift a single word.
+    /// At a constant bound the cached threshold is computed once and
+    /// reused: the draws must still be the reference's, word for word.
     #[test]
-    fn batched_sampler_matches_batched_uniform_at_constant_bound() {
+    fn batched_sampler_matches_reference_lemire_at_constant_bound() {
         for bound in [1usize, 2, 97, 1000, 1 << 16] {
-            let mut fixed = BatchedUniform::new(11, 3, phase::PUSH_DEST, bound);
-            let mut varying = BatchedSampler::new(11, 3, phase::PUSH_DEST);
+            let mut reference = reference_lemire(11, 3, phase::PUSH_DEST);
+            let mut sampler = BatchedSampler::new(11, 3, phase::PUSH_DEST);
             for _ in 0..2048 {
-                assert_eq!(varying.next_in(bound), fixed.next_index(), "bound {bound}");
+                assert_eq!(sampler.next_in(bound), reference(bound), "bound {bound}");
             }
+        }
+    }
+
+    /// The threshold cache across bound changes: runs at one bound,
+    /// draws that change the bound every time, and returns to earlier
+    /// bounds. A threshold only decides draws for bounds near 2^64,
+    /// where `2^64 mod bound` rejects a large share of words, so two
+    /// such bounds are in the mix: a stale threshold would accept or
+    /// reject the wrong words within a few draws.
+    #[test]
+    fn cached_threshold_follows_bound_changes() {
+        let half = (1usize << 63) + 1; // rejects about half of all words
+        let quarter = 3usize << 62; // rejects a quarter
+        let mut reference = reference_lemire(13, 2, phase::PULL_TARGET);
+        let mut sampler = BatchedSampler::new(13, 2, phase::PULL_TARGET);
+        let bounds = std::iter::repeat_n(half, 200)
+            .chain((0..600).map(|k| [half, quarter, k % 37 + 1][k % 3]))
+            .chain(std::iter::repeat_n(quarter, 200))
+            .chain([97, 1000, 97])
+            .chain(std::iter::repeat_n(half, 200));
+        for (i, bound) in bounds.enumerate() {
+            assert_eq!(
+                sampler.next_in(bound),
+                reference(bound),
+                "draw {i}, bound {bound}"
+            );
         }
     }
 
@@ -417,15 +412,15 @@ mod tests {
     /// beyond any plausible statistical fluctuation, so this test keeps
     /// such bugs from silently biasing gossip targets.
     #[test]
-    fn batched_uniform_passes_chi_squared_bucket_check() {
+    fn batched_sampler_passes_chi_squared_bucket_check() {
         // 97 buckets (prime, so the rejection path is exercised: 2^64
         // mod 97 != 0) with 1000 expected hits each.
         let buckets = 97usize;
         let draws = buckets * 1000;
         let mut counts = vec![0u64; buckets];
-        let mut sampler = BatchedUniform::new(2024, 0, phase::PUSH_DEST, buckets);
+        let mut sampler = BatchedSampler::new(2024, 0, phase::PUSH_DEST);
         for _ in 0..draws {
-            counts[sampler.next_index()] += 1;
+            counts[sampler.next_in(buckets)] += 1;
         }
         let expected = (draws / buckets) as f64;
         let chi2: f64 = counts
@@ -443,9 +438,9 @@ mod tests {
         // And the same check at a power-of-two bound (no rejection).
         let buckets = 64usize;
         let mut counts = vec![0u64; buckets];
-        let mut sampler = BatchedUniform::new(2024, 1, phase::PULL_TARGET, buckets);
+        let mut sampler = BatchedSampler::new(2024, 1, phase::PULL_TARGET);
         for _ in 0..buckets * 1000 {
-            counts[sampler.next_index()] += 1;
+            counts[sampler.next_in(buckets)] += 1;
         }
         let expected = 1000.0;
         let chi2: f64 = counts

@@ -99,10 +99,11 @@ impl Protocol for PushRumor {
 fn steady_state_rounds_allocate_nothing() {
     use gossip_sim::topology::{Complete, Hypercube, IntoTopology, Topology};
     use std::sync::Arc;
-    // Both schedules must hold the guarantee: V2Batched's batch sweeps
+    // Both schedules must hold the guarantee: their destination sweeps
     // refill the pre-sized `push_dests` / `pull_targets` scratch rows
-    // in place, and its per-round `BatchedUniform` samplers live on the
-    // stack. And both on a non-complete topology: the CSR adjacency
+    // in place, and the per-round `BatchedSampler` (V2) and per-node
+    // streams (V1) live on the stack. And both on a non-complete
+    // topology: the CSR adjacency
     // arena is built once at construction and only *read* per round
     // (neighbor-bounded draws resolve through it in place).
     let topologies: [Arc<dyn Topology>; 2] = [Complete.into_topology(), Hypercube.into_topology()];
@@ -154,7 +155,9 @@ fn steady_state_rounds_allocate_nothing() {
     // stack and workers claim chunk indices off a shared atomic — and
     // Linux mutex/condvar park without heap traffic. Pool construction
     // and warm-up happen outside the measured window; the window then
-    // spans 50 fully-fanned-out rounds (5 parallel regions each).
+    // spans 50 fully-fanned-out rounds (4 parallel regions each: pull,
+    // serve, compute, absorb; the offline scan is skipped under
+    // `Perfect`).
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(2)
         .build()

@@ -18,7 +18,7 @@
 use crate::error::ServerError;
 use gossip_sim::export::{Frame, RunHeader, RunSummary, WireError};
 use gossip_sim::ObsSummary;
-use lpt_gossip::driver::{Algorithm, Driver, RunReport, StopCondition};
+use lpt_gossip::driver::{Algorithm, Driver, DriverError, DriverProblem, RunReport, StopCondition};
 use lpt_gossip::spec::{AlgorithmSpec, RunSpecKey, StopSpec};
 use lpt_problems::Med;
 use lpt_workloads::med::MedDataset;
@@ -206,42 +206,21 @@ fn execute_med(
         }));
     }
     let points = dataset.generate(key.elements as usize, key.seed);
-    let mut driver = Driver::new(Med)
-        .nodes(key.n as usize)
-        .seed(key.seed)
-        .algorithm(wire_algorithm(key.algorithm))
-        .stop(wire_stop(key.stop))
-        .max_rounds(key.max_rounds)
-        .fault_model(scenario.fault_model())
-        .topology(topology.topology())
-        .rng_schedule(key.schedule)
-        .engine(key.engine.clone())
-        .record_phases(record_phases);
-    if let Some(flag) = cancel {
-        driver = driver.cancel_flag(flag);
-    }
-    if let Some(f) = key.doubling {
-        driver = driver.with_doubling_search(f.value());
-    }
-    match driver.run(&points) {
-        Ok(report) => {
-            // `{:?}` prints the shortest round-tripping decimal, so the
-            // rendering is as deterministic as the bits.
-            let consensus = report
-                .consensus_output()
-                .map(|b| format!("med:r2={:?}", b.value.r2));
-            ExecOutcome {
-                bytes: render_report(key, &report, consensus),
-                ran_driver: true,
-                obs: report.obs,
-            }
-        }
-        Err(e) => ExecOutcome {
-            bytes: frame_bytes(&[Frame::Error(WireError::from_error(&e))]),
-            ran_driver: true,
-            obs: None,
-        },
-    }
+    let driver = configure(
+        Driver::new(Med),
+        key,
+        scenario,
+        topology,
+        cancel,
+        record_phases,
+    );
+    // `{:?}` prints the shortest round-tripping decimal, so the
+    // rendering is as deterministic as the bits.
+    outcome(key, driver.run(&points), |report| {
+        report
+            .consensus_output()
+            .map(|b| format!("med:r2={:?}", b.value.r2))
+    })
 }
 
 fn execute_planted_hs(
@@ -263,7 +242,37 @@ fn execute_planted_hs(
     let n_sets = (n_elements / 2).max(4);
     let (sys, _planted) =
         planted_hitting_set(n_elements, n_sets, PLANTED_D, PLANTED_SET_SIZE, key.seed);
-    let mut driver = Driver::new(Arc::new(sys))
+    let driver = configure(
+        Driver::new(Arc::new(sys)),
+        key,
+        scenario,
+        topology,
+        cancel,
+        record_phases,
+    );
+    // Hitting-set nodes may halt on different (all valid) sets; render
+    // the deterministic best output: smallest, then lexicographically
+    // first.
+    outcome(key, driver.run_ground(), |report| {
+        report.best_output().map(|hs| {
+            let ids: Vec<String> = hs.iter().map(u32::to_string).collect();
+            format!("hs:{}:[{}]", hs.len(), ids.join(","))
+        })
+    })
+}
+
+/// Applies the key's run settings to a fresh driver: the one builder
+/// chain both problem families go through, so a setting cannot reach
+/// one family and miss the other.
+fn configure<M, P: DriverProblem<M>>(
+    driver: Driver<P, M>,
+    key: &RunSpecKey,
+    scenario: Scenario,
+    topology: TopologyPreset,
+    cancel: Option<Arc<AtomicBool>>,
+    record_phases: bool,
+) -> Driver<P, M> {
+    let mut driver = driver
         .nodes(key.n as usize)
         .seed(key.seed)
         .algorithm(wire_algorithm(key.algorithm))
@@ -280,21 +289,23 @@ fn execute_planted_hs(
     if let Some(f) = key.doubling {
         driver = driver.with_doubling_search(f.value());
     }
-    match driver.run_ground() {
-        Ok(report) => {
-            // Hitting-set nodes may halt on different (all valid) sets;
-            // render the deterministic best output: smallest, then
-            // lexicographically first.
-            let consensus = report.best_output().map(|hs| {
-                let ids: Vec<String> = hs.iter().map(u32::to_string).collect();
-                format!("hs:{}:[{}]", hs.len(), ids.join(","))
-            });
-            ExecOutcome {
-                bytes: render_report(key, &report, consensus),
-                ran_driver: true,
-                obs: report.obs,
-            }
-        }
+    driver
+}
+
+/// Maps a driver result to the reply: the rendered report, with
+/// `consensus` rendering its agreed output, or the driver's typed error
+/// frame.
+fn outcome<O>(
+    key: &RunSpecKey,
+    result: Result<RunReport<O>, DriverError>,
+    consensus: impl FnOnce(&RunReport<O>) -> Option<String>,
+) -> ExecOutcome {
+    match result {
+        Ok(report) => ExecOutcome {
+            bytes: render_report(key, &report, consensus(&report)),
+            ran_driver: true,
+            obs: report.obs,
+        },
         Err(e) => ExecOutcome {
             bytes: frame_bytes(&[Frame::Error(WireError::from_error(&e))]),
             ran_driver: true,

@@ -286,6 +286,92 @@ fn lossy_links_are_accounted_and_survivable() {
     assert!((basis.value.r2.sqrt() - 10.0).abs() < 1e-6);
 }
 
+/// Exact trajectories under non-unit link plans, where the unit-latency
+/// battery above is blind: multi-tick latency, link loss on all three
+/// legs, cross-tick crash checks and delayed pushes riding the queue.
+/// Captured on the engine before its fate decisions moved into one
+/// shared module, under both schedules; any drift in event order, loss
+/// draws or fault hook coordinates moves a number here.
+#[test]
+fn non_unit_event_trajectories_are_pinned() {
+    use lpt_gossip::topology::RandomRegular;
+    use lpt_gossip::{Degradation, Partition};
+    use lpt_workloads::sets::planted_hitting_set;
+    use std::sync::Arc;
+
+    fn quad<O>(r: &lpt_gossip::RunReport<O>) -> (u64, u64, u64, u64) {
+        (
+            r.rounds,
+            r.metrics.total_ops(),
+            r.metrics.total_delayed(),
+            r.metrics.total_dropped(),
+        )
+    }
+    let engine = |name: &str| Engine::parse(name).expect("engine name");
+    let mut med = Vec::new();
+    let mut hs = Vec::new();
+    for schedule in [RngSchedule::V1Compat, RngSchedule::V2Batched] {
+        let report = Driver::new(Med)
+            .nodes(128)
+            .seed(1)
+            .rng_schedule(schedule)
+            .engine(engine("event-uniform-1-4"))
+            .run(&duo_disk(128, 1))
+            .expect("run");
+        med.push(quad(&report));
+
+        let report = Driver::new(Med)
+            .nodes(256)
+            .seed(3)
+            .rng_schedule(schedule)
+            .engine(engine("event-const-1-loss-100000"))
+            .run(&duo_disk(256, 3))
+            .expect("run");
+        med.push(quad(&report));
+
+        let (sys, _) = planted_hitting_set(128, 32, 3, 6, 31);
+        let report = Driver::new(Arc::new(sys))
+            .nodes(128)
+            .seed(31)
+            .algorithm(Algorithm::hitting_set(3))
+            .max_rounds(2_000)
+            .topology(RandomRegular(8))
+            .rng_schedule(schedule)
+            .engine(engine("event-uniform-1-4-loss-50000"))
+            .fault_model(
+                Compose::default()
+                    .and(Partition::healing(0.3, 12))
+                    .and(lpt_gossip::Byzantine::new(0.1, 0.5))
+                    .and(Delay::uniform(2)),
+            )
+            .run_ground()
+            .expect("run");
+        hs.push((quad(&report), report.metrics.degradation));
+    }
+    assert_eq!(
+        med,
+        [
+            (154, 365_787, 21_954, 0),
+            (25, 846_488, 0, 135_577),
+            (154, 365_253, 21_824, 0),
+            (26, 884_730, 0, 142_847),
+        ]
+    );
+    let deg = |byzantine_exposures, link_cuts| Degradation {
+        partitioned_rounds: 12,
+        byzantine_exposures,
+        link_cuts,
+        ..Degradation::default()
+    };
+    assert_eq!(
+        hs,
+        [
+            ((66, 140_177, 2_859, 32_596), deg(2_166, 19_229)),
+            ((50, 141_541, 2_874, 33_373), deg(2_146, 19_734)),
+        ]
+    );
+}
+
 /// The analytic hypercube baseline has no network to schedule events
 /// for: requesting a non-default engine there is a typed error, not a
 /// silently ignored knob.
