@@ -359,19 +359,17 @@ impl Protocol for HittingSetGossip {
                 HsMsg::Elem(x) => state.extra.push(x),
                 HsMsg::Elem0(x) => state.x0.push(x),
                 HsMsg::Found(hs) => {
-                    // Verify before adopting (local knowledge of S makes
-                    // Byzantine-free verification a single scan).
-                    if !self.sys.is_hitting_set(&hs) {
-                        continue;
-                    }
-                    match &state.best {
-                        Some(cur) if !Self::better(&hs, cur) => {}
-                        _ => {
-                            if state.found_round.is_none() {
-                                state.found_round = Some(state.round);
-                            }
-                            state.best = Some(hs);
+                    // Only a strictly better set is adopted, and only a
+                    // set about to be adopted is verified: local
+                    // knowledge of S makes verification one scan, paid
+                    // once per adoption rather than once per copy of a
+                    // set the node already holds or beats.
+                    let improves = state.best.as_ref().is_none_or(|cur| Self::better(&hs, cur));
+                    if improves && self.sys.is_hitting_set(&hs) {
+                        if state.found_round.is_none() {
+                            state.found_round = Some(state.round);
                         }
+                        state.best = Some(hs);
                     }
                 }
             }
@@ -476,6 +474,73 @@ mod tests {
         let (b, rb, _) = run(sys, 64, &HittingSetConfig::new(2), 34);
         assert_eq!(ra, rb);
         assert_eq!(a, b);
+    }
+
+    /// Sets {0, 1}, {1, 2} and {3} over elements 0..4: {1, 3} is the
+    /// smallest hitting set, {0, 2, 3} a larger one, {1, 2} misses {3}.
+    fn gate_fixture() -> (HittingSetGossip, HittingSetState) {
+        let sys = SetSystem::new(4, vec![vec![0, 1], vec![1, 2], vec![3]]);
+        let proto = HittingSetGossip::new(Arc::new(sys), 8, &HittingSetConfig::new(2));
+        let mut state = proto.initial_state(vec![0]);
+        state.round = 7;
+        (proto, state)
+    }
+
+    fn deliver(proto: &HittingSetGossip, state: &mut HittingSetState, hs: &[u32]) {
+        let mut inbox = vec![HsMsg::Found(Arc::new(hs.to_vec()))];
+        let mut rng = PhaseRng::new(0, state.round, 0, 0);
+        assert_eq!(
+            proto.absorb(0, state, &mut inbox, &mut rng),
+            NodeControl::Continue
+        );
+    }
+
+    fn best(state: &HittingSetState) -> Option<Vec<u32>> {
+        state.best.as_ref().map(|hs| hs.to_vec())
+    }
+
+    #[test]
+    fn invalid_found_is_rejected_without_a_best() {
+        let (proto, mut state) = gate_fixture();
+        deliver(&proto, &mut state, &[1, 2]);
+        assert_eq!((best(&state), state.found_round), (None, None));
+    }
+
+    #[test]
+    fn invalid_found_that_beats_the_best_is_rejected() {
+        let (proto, mut state) = gate_fixture();
+        deliver(&proto, &mut state, &[0, 2, 3]);
+        assert_eq!(best(&state), Some(vec![0, 2, 3]));
+        // Shorter than the best, so it would be adopted if it were valid.
+        deliver(&proto, &mut state, &[1, 2]);
+        assert_eq!(
+            (best(&state), state.found_round),
+            (Some(vec![0, 2, 3]), Some(7))
+        );
+    }
+
+    #[test]
+    fn valid_found_that_does_not_beat_the_best_changes_nothing() {
+        let (proto, mut state) = gate_fixture();
+        deliver(&proto, &mut state, &[1, 3]);
+        let held = state.best.clone().expect("adopted");
+        state.round = 9;
+        deliver(&proto, &mut state, &[0, 2, 3]);
+        deliver(&proto, &mut state, &[1, 3]);
+        assert!(Arc::ptr_eq(state.best.as_ref().expect("kept"), &held));
+        assert_eq!(state.found_round, Some(7));
+    }
+
+    #[test]
+    fn valid_better_found_is_adopted_keeping_the_first_round() {
+        let (proto, mut state) = gate_fixture();
+        deliver(&proto, &mut state, &[0, 2, 3]);
+        state.round = 9;
+        deliver(&proto, &mut state, &[1, 3]);
+        assert_eq!(
+            (best(&state), state.found_round),
+            (Some(vec![1, 3]), Some(7))
+        );
     }
 
     #[test]

@@ -33,18 +33,22 @@
 //! byte-for-byte — same states, same metrics, same pinned
 //! trajectories. The virtual clock is partitioned into *ticks*; within
 //! a tick, events execute in phase-class order (start-round, serve,
-//! response delivery, compute, push delivery, absorb), and within a
-//! class in insertion order, which under unit latency is exactly the
-//! node order the round engine's phase loops use. What each event does
-//! to its node or message (protocol hook, destination draw, fault
-//! hooks, metrics tally) is the round engine's own code, shared through
-//! the crate's private step module; this module adds only the queue,
-//! link latency and loss, and the per-local-round batch streams. Every
-//! RNG stream and fault-model hook is keyed by coordinates that
-//! coincide with the round engine's under unit latency (local round ==
-//! tick == round index). The equivalence is enforced by tests across
-//! the full {schedule} × {topology} × {fault} grid and by the
-//! pinned-trajectory battery in CI, which still gates event ordering.
+//! compute, push delivery, absorb), and within a class in insertion
+//! order, which under unit latency is exactly the node order the round
+//! engine's phase loops use. A node's pull requests that reach their
+//! targets in the same tick are served by one event, which writes each
+//! response straight into the puller's slot: only the puller's own
+//! compute reads it, and that compute is scheduled no earlier than the
+//! tick the response arrives. What each event does to its node or
+//! message (protocol hook, destination draw, fault hooks, metrics
+//! tally) is the round engine's own code, shared through the crate's
+//! private step module; this module adds only the queue, link latency
+//! and loss, and the per-local-round batch streams. Every RNG stream
+//! and fault-model hook is keyed by coordinates that coincide with the
+//! round engine's under unit latency (local round == tick == round
+//! index). The equivalence is enforced by tests across the full
+//! {schedule} × {topology} × {fault} grid and by the pinned-trajectory
+//! battery in CI, which still gates event ordering.
 //!
 //! Select the engine via [`crate::NetworkConfig::engine`] (or
 //! `Driver::engine` in `lpt-gossip`):
@@ -62,7 +66,7 @@
 
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::obs::{Counter, Gauge, Phase, Recorder};
-use crate::protocol::{Protocol, Response};
+use crate::protocol::Protocol;
 use crate::rng::{derive_rng, phase, BatchedSampler, PhaseRng};
 use crate::scratch::RoundScratch;
 use crate::step::{Dests, DrawKeys, Fate, Route, Tally, Turn};
@@ -474,11 +478,10 @@ impl<T> EventQueue<T> {
 /// order within a class".
 const CLASS_BITS: u64 = 3;
 const CLASS_START: u64 = 0; // per-node round start: emit pulls
-const CLASS_SERVE: u64 = 1; // a pull request reaches its target
-const CLASS_RESP: u64 = 2; // a pull response reaches its puller
-const CLASS_COMPUTE: u64 = 3; // all responses in: compute + emit pushes
-const CLASS_PUSH: u64 = 4; // a pushed message reaches its destination
-const CLASS_ABSORB: u64 = 5; // deliveries in: absorb + maybe halt
+const CLASS_SERVE: u64 = 1; // a node's pull requests reach their targets
+const CLASS_COMPUTE: u64 = 2; // all responses in: compute + emit pushes
+const CLASS_PUSH: u64 = 3; // a pushed message reaches its destination
+const CLASS_ABSORB: u64 = 4; // deliveries in: absorb + maybe halt
 
 fn enc(tick: u64, class: u64) -> u64 {
     (tick << CLASS_BITS) | class
@@ -488,28 +491,26 @@ fn tick_of(time: u64) -> u64 {
     time >> CLASS_BITS
 }
 
+/// One pull request of a node's current round: query `k`, aimed at
+/// `target`, which it reaches `delay` ticks after the round starts.
+#[derive(Clone, Copy)]
+struct Leg {
+    delay: u32,
+    k: u32,
+    target: u32,
+}
+
 /// One scheduled event. Message payloads are moved through the queue —
 /// a pushed message lives in exactly one place at any time, preserving
 /// the round engine's move-only memory model across the queue.
 enum Event<P: Protocol> {
     /// Node `node` begins its next local round: emits pulls, schedules
-    /// serves and its own compute.
+    /// one serve per arrival tick and its own compute.
     StartRound { node: u32 },
-    /// `puller`'s query `k` arrives at `target`, which serves it
-    /// against its current state.
-    ServePull {
-        puller: u32,
-        k: u32,
-        target: u32,
-        /// Extra ticks the response spends on the return leg.
-        resp_delay: u32,
-    },
-    /// A served response arrives back at `puller`, slot `k`.
-    DeliverResponse {
-        puller: u32,
-        k: u32,
-        resp: Response<P::Msg>,
-    },
+    /// `puller`'s pull legs `first..end` (one arrival tick's worth, in
+    /// query order) reach their targets, which serve them against their
+    /// current state; each response goes straight to `puller`'s slot.
+    Serve { puller: u32, first: u32, end: u32 },
     /// All of `node`'s responses (or their losses) are in: compute.
     Compute { node: u32 },
     /// A pushed message arrives at `dest`.
@@ -562,9 +563,12 @@ pub(crate) struct EventCore<P: Protocol> {
     /// live node's local round equals the tick.
     local_round: Vec<u64>,
     /// Each puller's SERVE-phase stream for its current round, shared
-    /// across its queries in arrival order (== query order, since all
-    /// of a node's serves precede its compute).
+    /// across its queries in arrival order.
     serve_rng: Vec<Option<PhaseRng>>,
+    /// Each puller's pull legs of its current round that survived the
+    /// outbound loss draw, sorted by arrival delay and then by query
+    /// index: the order its serve events consume them in.
+    legs: Vec<Vec<Leg>>,
     /// V2 batch streams keyed by (local round, phase tag), each shared
     /// by every node at that round and consumed in event order (under
     /// unit latency, the round engine's node order).
@@ -572,8 +576,8 @@ pub(crate) struct EventCore<P: Protocol> {
     /// Nodes whose next `StartRound` is due at the next tick, flagged
     /// during dispatch and scheduled by a single end-of-tick scan in
     /// node-id order. Scheduling them inline would hand a node that
-    /// went offline (flagged at its class-0 `StartRound`) an earlier
-    /// sequence number than its live peers (flagged at class-5
+    /// went offline (flagged at its first-class `StartRound`) an earlier
+    /// sequence number than its live peers (flagged at last-class
     /// `Absorb`), letting it jump ahead of lower-numbered nodes at the
     /// next tick and reorder deliveries relative to the round engine.
     restart: Vec<bool>,
@@ -598,6 +602,7 @@ impl<P: Protocol> EventCore<P> {
             queue,
             local_round: vec![0; n],
             serve_rng: (0..n).map(|_| None).collect(),
+            legs: (0..n).map(|_| Vec::new()).collect(),
             batches: BTreeMap::new(),
             restart: vec![false; n],
             in_flight: 0,
@@ -717,17 +722,17 @@ impl<P: Protocol> EventCore<P> {
                 // This round's pull targets: the same draws, in the same
                 // order, as the round engine's refill sweep.
                 let nbrs = ctx.adjacency.map(|a| a.row(i));
+                let legs = &mut self.legs[i];
+                legs.clear();
                 let mut max_rtt: u64 = 0;
                 if count > 0 {
                     let mut dests =
                         batch_dests(&mut self.batches, fate.draws(r, phase::PULL_TARGET), i);
                     for k in 0..count {
-                        let t = dests.next(n, nbrs);
-                        let link_out = self.plan.link(seed, node, t as NodeId);
-                        let link_back = self.plan.link(seed, t as NodeId, node);
-                        let out_delay = u64::from(link_out.latency - 1);
-                        let resp_delay = link_back.latency - 1;
-                        max_rtt = max_rtt.max(out_delay + u64::from(resp_delay));
+                        let target = dests.next(n, nbrs) as NodeId;
+                        let delay = self.plan.link(seed, node, target).latency - 1;
+                        let back = self.plan.link(seed, target, node).latency - 1;
+                        max_rtt = max_rtt.max(u64::from(delay) + u64::from(back));
                         // A request lost on the outbound leg never
                         // reaches its target: the slot stays a failed
                         // pull and no serve work is charged.
@@ -735,16 +740,30 @@ impl<P: Protocol> EventCore<P> {
                             tally.dropped += 1;
                             continue;
                         }
-                        self.queue.push(
-                            enc(tick + out_delay, CLASS_SERVE),
-                            Event::ServePull {
-                                puller: node,
-                                k: k as u32,
-                                target: t as u32,
-                                resp_delay,
-                            },
-                        );
+                        legs.push(Leg {
+                            delay,
+                            k: k as u32,
+                            target,
+                        });
                     }
+                }
+                // One serve event per arrival tick, serving that tick's
+                // legs in query order: serves only read state, so the
+                // puller's serve stream is drawn in arrival order, then
+                // query order, as if every pull had an event of its own.
+                legs.sort_unstable_by_key(|leg| (leg.delay, leg.k));
+                let mut first = 0;
+                for group in legs.chunk_by(|a, b| a.delay == b.delay) {
+                    let end = first + group.len() as u32;
+                    self.queue.push(
+                        enc(tick + u64::from(group[0].delay), CLASS_SERVE),
+                        Event::Serve {
+                            puller: node,
+                            first,
+                            end,
+                        },
+                    );
+                    first = end;
                 }
                 // Compute fires once every response had time to arrive
                 // (immediately when nothing was pulled): the node's
@@ -753,40 +772,35 @@ impl<P: Protocol> EventCore<P> {
                     .push(enc(tick + max_rtt, CLASS_COMPUTE), Event::Compute { node });
             }
 
-            Event::ServePull {
-                puller,
-                k,
-                target,
-                resp_delay,
-            } => {
+            Event::Serve { puller, first, end } => {
                 let i = puller as usize;
-                let scratch = &*ctx.scratch;
-                let route = Route {
-                    round: tick,
-                    from: puller,
-                    to: target,
-                    k: u64::from(k),
-                };
-                let q = &scratch.queries[i][k as usize];
+                let scratch = &mut *ctx.scratch;
                 let rng = self.serve_rng[i]
                     .as_mut()
                     .expect("serve stream set at round start");
-                let Some(resp) = fate.serve(route, q, ctx.states, &scratch.offline, rng, tally)
-                else {
-                    return; // the response slot stays None: a failed pull
-                };
-                if self.plan.lossy(seed, tick, puller, 1, u64::from(k)) {
-                    tally.dropped += 1;
-                    return;
+                for leg in &self.legs[i][first as usize..end as usize] {
+                    let k = u64::from(leg.k);
+                    let route = Route {
+                        round: tick,
+                        from: puller,
+                        to: leg.target,
+                        k,
+                    };
+                    let q = &scratch.queries[i][leg.k as usize];
+                    // A response that is not served, or is lost on the
+                    // return leg, leaves its slot None: a failed pull.
+                    let Some(resp) = fate.serve(route, q, ctx.states, &scratch.offline, rng, tally)
+                    else {
+                        continue;
+                    };
+                    if self.plan.lossy(seed, tick, puller, 1, k) {
+                        tally.dropped += 1;
+                        continue;
+                    }
+                    // Written before it arrives, but only the puller's
+                    // compute reads it, at or after its arrival tick.
+                    scratch.responses[i][leg.k as usize] = Some(resp);
                 }
-                self.queue.push(
-                    enc(tick + u64::from(resp_delay), CLASS_RESP),
-                    Event::DeliverResponse { puller, k, resp },
-                );
-            }
-
-            Event::DeliverResponse { puller, k, resp } => {
-                ctx.scratch.responses[puller as usize][k as usize] = Some(resp);
             }
 
             Event::Compute { node } => {
@@ -840,7 +854,7 @@ impl<P: Protocol> EventCore<P> {
                             self.in_flight += 1;
                         }
                         // Same-tick deliveries also ride the queue: the
-                        // class-4 pop order is then "older (delayed)
+                        // push-class pop order is then "older (delayed)
                         // messages first, current ones in (sender,
                         // message) order" — exactly the round engine's
                         // inbox fill order.

@@ -1,7 +1,6 @@
 //! Server-side observability aggregation: latency, queue, and engine
-//! counters behind one mutex, snapshotted into a
-//! [`MetricsSnapshot`](gossip_sim::export::MetricsSnapshot) for the
-//! `metrics` wire command.
+//! counters behind one mutex, snapshotted into a [`MetricsSnapshot`]
+//! for the `metrics` wire command.
 //!
 //! Everything here is strictly observational. None of these numbers
 //! feed back into request handling, cache keys, or reply bytes — a

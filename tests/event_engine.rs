@@ -372,6 +372,41 @@ fn non_unit_event_trajectories_are_pinned() {
     );
 }
 
+/// The event queue carries a bounded number of events per node-round,
+/// not two per pull: one start, one compute and one absorb, at most one
+/// serve per distinct link latency (a node's pulls that arrive in the
+/// same tick share one serve event), and one delivery per push. On the
+/// hitting-set protocol, whose nodes pull hundreds of samples a round,
+/// two events per pull would exceed the bound.
+#[test]
+fn event_queue_pops_are_bounded_per_node_round() {
+    use gossip_sim::obs::Counter;
+    use lpt_workloads::sets::planted_hitting_set;
+    use std::sync::Arc;
+
+    // Latencies 1..=4: at most four distinct arrival ticks per round.
+    let (n, latencies) = (128u64, 4u64);
+    let (sys, _) = planted_hitting_set(128, 32, 3, 6, 31);
+    let report = Driver::new(Arc::new(sys))
+        .nodes(n as usize)
+        .seed(31)
+        .algorithm(Algorithm::hitting_set(3))
+        .max_rounds(2_000)
+        .engine(Engine::EventDriven(LinkPlan::uniform(1, 4)))
+        .record_phases(true)
+        .run_ground()
+        .expect("run");
+    assert!(report.all_halted);
+    let pops = report.obs.expect("recorded").counter(Counter::EventPops);
+    let metrics = &report.metrics;
+    let bound = n * report.rounds * (3 + latencies) + metrics.total_pushes();
+    assert!(pops <= bound, "{pops} event pops > bound {bound}");
+    assert!(
+        2 * metrics.total_pulls() > bound,
+        "two events per pull must break the bound, or it tests nothing"
+    );
+}
+
 /// The analytic hypercube baseline has no network to schedule events
 /// for: requesting a non-default engine there is a typed error, not a
 /// silently ignored knob.
