@@ -24,8 +24,11 @@
 //! ```
 //!
 //! Selecting an algorithm is one builder call
-//! ([`Driver::algorithm`]); the instance scattering, network
-//! construction, stop handling, and report assembly are shared. The
+//! ([`Driver::algorithm`]). Every simulated algorithm then takes one
+//! run path: a private `simulate` does the instance scattering, network
+//! construction, stop handling, and report assembly, and each protocol
+//! only names, in a private `Simulated` impl, what its node state
+//! holds (its candidate, the round it first held one, its output). The
 //! algorithm × problem compatibility matrix is enforced at run time
 //! with a documented [`DriverError`]: LP-type problems accept
 //! [`Algorithm::LowLoad`], [`Algorithm::HighLoad`],
@@ -45,9 +48,9 @@ use crate::hitting_set::{HittingSetConfig, HittingSetGossip, HittingSetState};
 use crate::hypercube::hypercube_clarkson;
 use crate::low_load::{LowLoadClarkson, LowLoadConfig, LowLoadState};
 use gossip_sim::event::Engine;
-use gossip_sim::fault::{FaultModel, IntoFaultModel, Perfect};
+use gossip_sim::fault::{FaultModel, IntoFaultModel};
 use gossip_sim::obs::{FlightRecorder, ObsSummary};
-use gossip_sim::topology::{Complete, IntoTopology, Topology};
+use gossip_sim::topology::IntoTopology;
 use gossip_sim::{Metrics, Network, NetworkConfig, Protocol, RngSchedule, RunOutcome};
 use lpt::{BasisOf, LpType};
 use lpt_problems::SetSystem;
@@ -376,6 +379,7 @@ pub struct Progress {
 }
 
 /// When a [`Driver`] run stops.
+#[derive(Clone)]
 pub enum StopCondition<T> {
     /// Run until every node has output and halted (the algorithms'
     /// actual termination, including the network-wide audit).
@@ -395,17 +399,6 @@ pub enum StopCondition<T> {
     /// Stop when the predicate returns `true` (checked after every
     /// round).
     Custom(Arc<dyn Fn(&Progress) -> bool + Send + Sync>),
-}
-
-impl<T: Clone> Clone for StopCondition<T> {
-    fn clone(&self) -> Self {
-        match self {
-            StopCondition::FullTermination => StopCondition::FullTermination,
-            StopCondition::FirstSolution(t) => StopCondition::FirstSolution(t.clone()),
-            StopCondition::RoundBudget(r) => StopCondition::RoundBudget(*r),
-            StopCondition::Custom(f) => StopCondition::Custom(f.clone()),
-        }
-    }
 }
 
 impl<T: fmt::Debug> fmt::Debug for StopCondition<T> {
@@ -467,8 +460,8 @@ pub struct DoublingReport {
 }
 
 /// What the fault model cost a run (all zeros under the default
-/// [`Perfect`] network); the per-round breakdown is in
-/// [`RunReport::metrics`].
+/// [`Perfect`](gossip_sim::fault::Perfect) network); the per-round
+/// breakdown is in [`RunReport::metrics`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSummary {
     /// Name of the fault model the run was simulated under.
@@ -566,8 +559,9 @@ pub struct RunReport<O> {
     /// Doubling-search trace, when [`Driver::with_doubling_search`] was
     /// used.
     pub doubling: Option<DoublingReport>,
-    /// What the fault model cost the run (zeros under [`Perfect`]; for
-    /// a doubling search, the successful attempt's costs).
+    /// What the fault model cost the run (zeros under
+    /// [`Perfect`](gossip_sim::fault::Perfect); for a doubling search,
+    /// the successful attempt's costs).
     pub faults: FaultSummary,
     /// Communication metrics, one entry per simulated round (empty for
     /// the analytic hypercube baseline).
@@ -685,45 +679,6 @@ pub struct LpMode;
 #[derive(Clone, Copy, Debug)]
 pub struct SetMode;
 
-/// Everything a [`Driver`] needs from a run, mode-independent.
-#[derive(Clone, Copy)]
-pub struct RunSpec<'a, T> {
-    /// Network size.
-    pub n: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// The selected algorithm.
-    pub algorithm: &'a Algorithm,
-    /// The stop condition.
-    pub stop: &'a StopCondition<T>,
-    /// Safety valve on simulated rounds.
-    pub max_rounds: u64,
-    /// Step nodes in parallel when the simulator supports it.
-    pub parallel: bool,
-    /// Minimum network size for parallel stepping (`None` = simulator
-    /// default).
-    pub parallel_threshold: Option<usize>,
-    /// Doubling-search budget factor, if enabled.
-    pub doubling: Option<f64>,
-    /// The fault model the network is simulated under.
-    pub fault: &'a Arc<dyn FaultModel>,
-    /// The versioned randomness schedule the network draws under.
-    pub schedule: RngSchedule,
-    /// The communication topology destinations are drawn from.
-    pub topology: &'a Arc<dyn Topology>,
-    /// The execution engine the network is stepped with (round-sync or
-    /// event-driven; see [`gossip_sim::event`]).
-    pub engine: &'a Engine,
-    /// Attach a [`FlightRecorder`] to the network and surface its
-    /// summary in [`RunReport::obs`]. Observational only: the recorder
-    /// reads values the engine computed anyway, so this flag cannot
-    /// change a trajectory (and is excluded from every cache key).
-    pub record_phases: bool,
-    /// Cooperative cancellation flag, checked between simulated rounds
-    /// (`None` = not cancellable). See [`Driver::cancel_flag`].
-    pub cancel: Option<&'a AtomicBool>,
-}
-
 /// A problem family the unified [`Driver`] can run.
 ///
 /// `M` is a mode marker ([`LpMode`] or [`SetMode`]) that exists only to
@@ -764,10 +719,11 @@ pub trait DriverProblem<M>: Sized {
         None
     }
 
-    /// Runs the spec on the given elements.
+    /// Runs `driver`'s configuration (whose problem is `self`) on the
+    /// given elements. [`Driver::run`] has already rejected `n == 0`.
     fn execute(
         &self,
-        spec: &RunSpec<'_, Self::Target>,
+        driver: &Driver<Self, M>,
         elements: &[Self::Element],
     ) -> Result<RunReport<Self::Output>, DriverError>;
 }
@@ -779,48 +735,22 @@ pub trait DriverProblem<M>: Sized {
 /// Builder-style driver for one distributed run. See the
 /// [module docs](self) for an example, and [`DriverProblem`] for the
 /// problem families it accepts.
+#[derive(Clone)]
 pub struct Driver<P: DriverProblem<M>, M = LpMode> {
     problem: P,
     n: usize,
-    seed: u64,
     /// `None` until [`Driver::algorithm`] is called; resolved against
     /// the problem family's default at run time.
     algorithm: Option<Algorithm>,
     stop: StopCondition<P::Target>,
     max_rounds: u64,
-    parallel: bool,
-    parallel_threshold: Option<usize>,
     doubling: Option<f64>,
-    fault: Arc<dyn FaultModel>,
-    schedule: RngSchedule,
-    topology: Arc<dyn Topology>,
-    engine: Engine,
+    /// Seed, parallel stepping, fault model, schedule, topology and
+    /// engine: every simulated network is built from a clone of it.
+    net: NetworkConfig,
     record_phases: bool,
     cancel: Option<Arc<AtomicBool>>,
     _mode: PhantomData<fn() -> M>,
-}
-
-impl<M, P: DriverProblem<M> + Clone> Clone for Driver<P, M> {
-    fn clone(&self) -> Self {
-        Driver {
-            problem: self.problem.clone(),
-            n: self.n,
-            seed: self.seed,
-            algorithm: self.algorithm.clone(),
-            stop: self.stop.clone(),
-            max_rounds: self.max_rounds,
-            parallel: self.parallel,
-            parallel_threshold: self.parallel_threshold,
-            doubling: self.doubling,
-            fault: self.fault.clone(),
-            schedule: self.schedule,
-            topology: self.topology.clone(),
-            engine: self.engine.clone(),
-            record_phases: self.record_phases,
-            cancel: self.cancel.clone(),
-            _mode: PhantomData,
-        }
-    }
 }
 
 impl<M, P: DriverProblem<M>> fmt::Debug for Driver<P, M> {
@@ -828,16 +758,10 @@ impl<M, P: DriverProblem<M>> fmt::Debug for Driver<P, M> {
         f.debug_struct("Driver")
             .field("problem", &self.problem.problem_kind())
             .field("n", &self.n)
-            .field("seed", &self.seed)
             .field("algorithm", &self.algorithm)
             .field("max_rounds", &self.max_rounds)
-            .field("parallel", &self.parallel)
-            .field("parallel_threshold", &self.parallel_threshold)
             .field("doubling", &self.doubling)
-            .field("fault", &self.fault)
-            .field("schedule", &self.schedule)
-            .field("topology", &self.topology)
-            .field("engine", &self.engine)
+            .field("net", &self.net)
             .field("record_phases", &self.record_phases)
             .finish_non_exhaustive()
     }
@@ -854,17 +778,11 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
         Driver {
             problem,
             n: 1,
-            seed: 0,
             algorithm: None,
             stop: StopCondition::FullTermination,
             max_rounds: 20_000,
-            parallel: true,
-            parallel_threshold: None,
             doubling: None,
-            fault: Arc::new(Perfect),
-            schedule: RngSchedule::default(),
-            topology: Arc::new(Complete),
-            engine: Engine::default(),
+            net: NetworkConfig::with_seed(0),
             record_phases: false,
             cancel: None,
             _mode: PhantomData,
@@ -882,7 +800,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// (problem, elements, nodes, algorithm, stop, seed).
     #[must_use = "builder methods return the updated driver"]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.net.seed = seed;
         self
     }
 
@@ -911,7 +829,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// results are identical either way).
     #[must_use = "builder methods return the updated driver"]
     pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
+        self.net.parallel = parallel;
         self
     }
 
@@ -921,7 +839,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// overhead dominating small networks.
     #[must_use = "builder methods return the updated driver"]
     pub fn parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = Some(threshold);
+        self.net.parallel_threshold = threshold;
         self
     }
 
@@ -934,7 +852,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// baseline ([`DriverError::UnsupportedFaults`]).
     #[must_use = "builder methods return the updated driver"]
     pub fn fault_model(mut self, fault: impl IntoFaultModel) -> Self {
-        self.fault = fault.into_fault_model();
+        self.net.fault = fault.into_fault_model();
         self
     }
 
@@ -951,7 +869,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// ([`DriverError::UnsupportedTopology`] otherwise).
     #[must_use = "builder methods return the updated driver"]
     pub fn topology(mut self, topology: impl IntoTopology) -> Self {
-        self.topology = topology.into_topology();
+        self.net.topology = topology.into_topology();
         self
     }
 
@@ -965,7 +883,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// which schedule produced a report.
     #[must_use = "builder methods return the updated driver"]
     pub fn rng_schedule(mut self, schedule: RngSchedule) -> Self {
-        self.schedule = schedule;
+        self.net.schedule = schedule;
         self
     }
 
@@ -998,7 +916,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// ([`DriverError::UnsupportedEngine`]).
     #[must_use = "builder methods return the updated driver"]
     pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
+        self.net.engine = engine;
         self
     }
 
@@ -1040,36 +958,10 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
 
     /// Runs the configured algorithm on `elements`.
     pub fn run(&self, elements: &[P::Element]) -> Result<RunReport<P::Output>, DriverError> {
-        let algorithm = match &self.algorithm {
-            Some(a) => a.clone(),
-            None => self.problem.default_algorithm(),
-        };
-        // Out of the box (no explicit algorithm or doubling choice),
-        // problem families may opt into the doubling search.
-        let doubling = self.doubling.or_else(|| {
-            if self.algorithm.is_none() {
-                self.problem.default_doubling()
-            } else {
-                None
-            }
-        });
-        let spec = RunSpec {
-            n: self.n,
-            seed: self.seed,
-            algorithm: &algorithm,
-            stop: &self.stop,
-            max_rounds: self.max_rounds,
-            parallel: self.parallel,
-            parallel_threshold: self.parallel_threshold,
-            doubling,
-            fault: &self.fault,
-            schedule: self.schedule,
-            topology: &self.topology,
-            engine: &self.engine,
-            record_phases: self.record_phases,
-            cancel: self.cancel.as_deref(),
-        };
-        self.problem.execute(&spec, elements)
+        if self.n == 0 {
+            return Err(DriverError::NoNodes);
+        }
+        self.problem.execute(self, elements)
     }
 
     /// Runs on the problem's intrinsic ground-element set (hitting set:
@@ -1085,27 +977,175 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
             })?;
         self.run(&ground)
     }
-}
 
-// ---------------------------------------------------------------------------
-// Shared run-loop machinery
-// ---------------------------------------------------------------------------
-
-fn net_config<T>(spec: &RunSpec<'_, T>) -> NetworkConfig {
-    let mut cfg = NetworkConfig::with_seed(spec.seed);
-    cfg.parallel = spec.parallel;
-    if let Some(threshold) = spec.parallel_threshold {
-        cfg.parallel_threshold = threshold;
+    /// The selected algorithm, or the problem family's default.
+    fn resolved_algorithm(&self) -> Algorithm {
+        self.algorithm
+            .clone()
+            .unwrap_or_else(|| self.problem.default_algorithm())
     }
-    cfg.fault = spec.fault.clone();
-    cfg.schedule = spec.schedule;
-    cfg.topology = spec.topology.clone();
-    cfg.engine = spec.engine.clone();
-    cfg
+
+    /// The doubling-search factor. Out of the box (no explicit
+    /// algorithm or doubling choice), problem families may opt into the
+    /// doubling search.
+    fn resolved_doubling(&self) -> Option<f64> {
+        match self.algorithm {
+            Some(_) => self.doubling,
+            None => self.doubling.or_else(|| self.problem.default_doubling()),
+        }
+    }
+
+    /// Whether a cancel flag is installed and raised.
+    fn cancelled(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
+    }
 }
 
-/// Steps `net` under `stop`, returning the outcome and its cause, or
-/// [`DriverError::Cancelled`] if `cancel` was raised mid-run.
+// ---------------------------------------------------------------------------
+// The one simulated run path
+// ---------------------------------------------------------------------------
+
+/// What [`simulate`] reads from a gossip protocol beyond [`Protocol`]:
+/// how a node starts from its scattered elements, and which parts of
+/// its state the stop conditions and the report look at. The protocols
+/// differ only here.
+trait Simulated: Protocol {
+    /// The element type scattered over the network.
+    type Element;
+    /// A node's candidate and output type.
+    type Output;
+
+    /// The state of a node that starts out holding `elements`.
+    fn initial(&self, elements: Vec<Self::Element>) -> Self::State;
+
+    /// The candidate solution a node currently holds: what
+    /// [`StopCondition::FirstSolution`] tests and
+    /// [`Progress::with_candidate`] counts.
+    fn candidate(state: &Self::State) -> Option<&Self::Output>;
+
+    /// The round at which a node first held a candidate, for
+    /// [`RunReport::first_candidate_round`] (`None` if the protocol
+    /// does not record it).
+    fn candidate_round(_state: &Self::State) -> Option<u64> {
+        None
+    }
+
+    /// A node's final output, once decided.
+    fn output(state: &Self::State) -> Option<&Self::Output>;
+}
+
+impl<P: LpType + Sync> Simulated for LowLoadClarkson<P> {
+    type Element = P::Element;
+    type Output = BasisOf<P>;
+
+    fn initial(&self, elements: Vec<P::Element>) -> LowLoadState<P> {
+        self.initial_state(elements)
+    }
+
+    fn candidate(state: &LowLoadState<P>) -> Option<&BasisOf<P>> {
+        state.candidate.as_deref()
+    }
+
+    fn candidate_round(state: &LowLoadState<P>) -> Option<u64> {
+        state.candidate_round
+    }
+
+    fn output(state: &LowLoadState<P>) -> Option<&BasisOf<P>> {
+        state.output.as_ref()
+    }
+}
+
+impl<P: LpType + Sync> Simulated for HighLoadClarkson<P> {
+    type Element = P::Element;
+    type Output = BasisOf<P>;
+
+    fn initial(&self, elements: Vec<P::Element>) -> HighLoadState<P> {
+        self.initial_state(elements)
+    }
+
+    fn candidate(state: &HighLoadState<P>) -> Option<&BasisOf<P>> {
+        state.local_basis.as_deref()
+    }
+
+    fn output(state: &HighLoadState<P>) -> Option<&BasisOf<P>> {
+        state.output.as_ref()
+    }
+}
+
+impl Simulated for HittingSetGossip {
+    type Element = u32;
+    type Output = Vec<u32>;
+
+    fn initial(&self, elements: Vec<u32>) -> HittingSetState {
+        self.initial_state(elements)
+    }
+
+    fn candidate(state: &HittingSetState) -> Option<&Vec<u32>> {
+        state.best.as_deref()
+    }
+
+    fn candidate_round(state: &HittingSetState) -> Option<u64> {
+        state.found_round
+    }
+
+    fn output(state: &HittingSetState) -> Option<&Vec<u32>> {
+        state.output.as_ref()
+    }
+}
+
+/// Runs `proto` as `driver` configures: scatters `elements`, builds the
+/// network, steps it under the stop condition and assembles the report.
+/// `reached` tells whether a candidate meets a
+/// [`StopCondition::FirstSolution`] target, and `same` whether a node's
+/// output agrees with the first node's (for the consensus).
+fn simulate<P, M, Pr>(
+    driver: &Driver<P, M>,
+    proto: Pr,
+    elements: &[P::Element],
+    reached: impl Fn(&P::Output, &P::Target) -> bool,
+    same: impl Fn(&P::Output, &P::Output) -> bool,
+) -> Result<RunReport<P::Output>, DriverError>
+where
+    P: DriverProblem<M>,
+    Pr: Simulated<Element = P::Element, Output = P::Output>,
+{
+    let states = scatter(elements, driver.n, driver.net.seed)?
+        .into_iter()
+        .map(|part| proto.initial(part))
+        .collect();
+    let mut net = Network::new(proto, states, driver.net.clone());
+    if driver.record_phases {
+        net.set_recorder(Box::new(FlightRecorder::new()));
+    }
+    let (outcome, cause) = drive(&mut net, driver, reached)?;
+    let outputs: Vec<_> = net
+        .states()
+        .iter()
+        .map(|s| Pr::output(s).cloned())
+        .collect();
+    Ok(RunReport {
+        consensus: consensus(&outputs, same),
+        outputs,
+        rounds: outcome.rounds(),
+        all_halted: outcome.all_halted(),
+        stop_cause: cause,
+        first_candidate_round: net.states().iter().filter_map(Pr::candidate_round).min(),
+        size_bound: None,
+        doubling: None,
+        faults: FaultSummary::from_metrics(driver.net.fault.as_ref(), net.metrics()),
+        metrics: stamped_metrics(net.metrics(), &outcome, cause),
+        schedule: driver.net.schedule,
+        topology: driver.net.topology.name(),
+        exec: ExecInfo::from_threads(net.effective_parallelism()),
+        obs: net.recorder().summary(),
+    })
+}
+
+/// Steps `net` under the driver's stop condition, returning the outcome
+/// and its cause, or [`DriverError::Cancelled`] if the cancel flag was
+/// raised mid-run.
 ///
 /// Cancellation is cooperative: the flag is checked between rounds
 /// (folded into the engine's stop predicate), so a raised flag ends the
@@ -1114,89 +1154,70 @@ fn net_config<T>(spec: &RunSpec<'_, T>) -> NetworkConfig {
 /// from (seed, round, node, phase) alone and the predicate only reads
 /// network state — so the `None` and unraised-`Some` paths are
 /// byte-identical.
-fn drive<Pr: Protocol, T>(
+fn drive<P, M, Pr>(
     net: &mut Network<Pr>,
-    stop: &StopCondition<T>,
-    max_rounds: u64,
-    cancel: Option<&AtomicBool>,
-    target_hit: impl Fn(&Network<Pr>, &T) -> bool,
-    candidates: impl Fn(&Network<Pr>) -> usize,
-) -> Result<(RunOutcome, StopCause), DriverError> {
-    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-    if cancelled() {
+    driver: &Driver<P, M>,
+    reached: impl Fn(&P::Output, &P::Target) -> bool,
+) -> Result<(RunOutcome, StopCause), DriverError>
+where
+    P: DriverProblem<M>,
+    Pr: Simulated<Output = P::Output>,
+{
+    if driver.cancelled() {
         return Err(DriverError::Cancelled);
     }
+    let (stop, max_rounds) = (&driver.stop, driver.max_rounds);
     // Pre-reserve the per-round metrics log (the only engine container
     // that grows while running) so driver runs stay allocation-free in
     // steady state; capped so absurd round budgets cannot pre-allocate
     // unbounded memory.
     net.reserve_rounds(max_rounds.min(4096) as usize);
-    match stop {
-        StopCondition::FullTermination => {
-            let outcome = match cancel {
-                None => net.run(max_rounds),
-                Some(c) => net.run_until(max_rounds, |_| c.load(Ordering::Relaxed)),
-            };
-            let cause = match outcome {
-                RunOutcome::Predicate { .. } => return Err(DriverError::Cancelled),
-                _ if outcome.all_halted() => StopCause::AllHalted,
-                _ => StopCause::MaxRounds,
-            };
-            Ok((outcome, cause))
+    let limit = match stop {
+        StopCondition::RoundBudget(budget) => (*budget).min(max_rounds),
+        _ => max_rounds,
+    };
+    let outcome = net.run_until(limit, |net| {
+        driver.cancelled()
+            || match stop {
+                StopCondition::FullTermination | StopCondition::RoundBudget(_) => false,
+                StopCondition::FirstSolution(target) => net
+                    .states()
+                    .iter()
+                    .any(|s| Pr::candidate(s).is_some_and(|c| reached(c, target))),
+                StopCondition::Custom(pred) => pred(&Progress {
+                    round: net.round_index(),
+                    n: net.n(),
+                    halted: net.halted_count(),
+                    with_candidate: net
+                        .states()
+                        .iter()
+                        .filter(|s| Pr::candidate(s).is_some())
+                        .count(),
+                }),
+            }
+    });
+    // The flag is read before a target or custom stop is credited, so a
+    // flag raised in the round a target is reached still cancels; under
+    // the other stops only the flag can fire the predicate.
+    let cause = match (outcome, stop) {
+        (RunOutcome::AllHalted { .. }, _) => StopCause::AllHalted,
+        (RunOutcome::Predicate { .. }, StopCondition::FirstSolution(_)) if !driver.cancelled() => {
+            StopCause::TargetReached
         }
-        StopCondition::FirstSolution(target) => {
-            let outcome = net.run_until(max_rounds, |net| cancelled() || target_hit(net, target));
-            let cause = match outcome {
-                RunOutcome::AllHalted { .. } => StopCause::AllHalted,
-                RunOutcome::Predicate { .. } => {
-                    if cancelled() {
-                        return Err(DriverError::Cancelled);
-                    }
-                    StopCause::TargetReached
-                }
-                RunOutcome::MaxRounds { .. } => StopCause::MaxRounds,
-            };
-            Ok((outcome, cause))
+        (RunOutcome::Predicate { .. }, StopCondition::Custom(_)) if !driver.cancelled() => {
+            StopCause::CustomStop
         }
-        StopCondition::RoundBudget(budget) => {
-            let capped = (*budget).min(max_rounds);
-            let outcome = match cancel {
-                None => net.run(capped),
-                Some(c) => net.run_until(capped, |_| c.load(Ordering::Relaxed)),
-            };
-            let cause = match outcome {
-                RunOutcome::Predicate { .. } => return Err(DriverError::Cancelled),
-                _ if outcome.all_halted() => StopCause::AllHalted,
-                _ if outcome.rounds() >= *budget => StopCause::RoundBudget,
-                // The max_rounds safety valve cut the run before the
-                // user's budget was reached.
-                _ => StopCause::MaxRounds,
-            };
-            Ok((outcome, cause))
+        (RunOutcome::Predicate { .. }, _) => return Err(DriverError::Cancelled),
+        (RunOutcome::MaxRounds { rounds }, StopCondition::RoundBudget(budget))
+            if rounds >= *budget =>
+        {
+            StopCause::RoundBudget
         }
-        StopCondition::Custom(pred) => {
-            let outcome = net.run_until(max_rounds, |net| {
-                cancelled()
-                    || pred(&Progress {
-                        round: net.round_index(),
-                        n: net.n(),
-                        halted: net.halted_count(),
-                        with_candidate: candidates(net),
-                    })
-            });
-            let cause = match outcome {
-                RunOutcome::AllHalted { .. } => StopCause::AllHalted,
-                RunOutcome::Predicate { .. } => {
-                    if cancelled() {
-                        return Err(DriverError::Cancelled);
-                    }
-                    StopCause::CustomStop
-                }
-                RunOutcome::MaxRounds { .. } => StopCause::MaxRounds,
-            };
-            Ok((outcome, cause))
-        }
-    }
+        // Including the max_rounds safety valve cutting a run before
+        // the user's round budget was reached.
+        (RunOutcome::MaxRounds { .. }, _) => StopCause::MaxRounds,
+    };
+    Ok((outcome, cause))
 }
 
 /// The run's metrics with
@@ -1215,28 +1236,15 @@ fn stamped_metrics(metrics: &Metrics, outcome: &RunOutcome, cause: StopCause) ->
     metrics
 }
 
-/// Consensus under the problem's value tolerance: the first node's
-/// output, if every node output a value close to it.
-fn lp_consensus<P: LpType>(problem: &P, outputs: &[Option<BasisOf<P>>]) -> Option<BasisOf<P>> {
+/// The first node's output, if every node output one that agrees with
+/// it: `same(out, first)` is the problem's value tolerance for LP-type
+/// problems and exact equality for hitting sets.
+fn consensus<O: Clone>(outputs: &[Option<O>], same: impl Fn(&O, &O) -> bool) -> Option<O> {
     let first = outputs.first()?.as_ref()?;
-    for out in outputs {
-        let b = out.as_ref()?;
-        if !problem.values_close(&b.value, &first.value) {
-            return None;
-        }
-    }
-    Some(first.clone())
-}
-
-/// Consensus for hitting sets: exact agreement of every output.
-fn hs_consensus(outputs: &[Option<Vec<u32>>]) -> Option<Vec<u32>> {
-    let first = outputs.first()?.as_ref()?;
-    for out in outputs {
-        if out.as_ref()? != first {
-            return None;
-        }
-    }
-    Some(first.clone())
+    outputs
+        .iter()
+        .all(|out| out.as_ref().is_some_and(|out| same(out, first)))
+        .then(|| first.clone())
 }
 
 // ---------------------------------------------------------------------------
@@ -1258,180 +1266,83 @@ impl<P: LpType + Clone + Sync> DriverProblem<LpMode> for P {
 
     fn execute(
         &self,
-        spec: &RunSpec<'_, P::Value>,
+        driver: &Driver<P, LpMode>,
         elements: &[P::Element],
     ) -> Result<RunReport<BasisOf<P>>, DriverError> {
-        if spec.n == 0 {
-            return Err(DriverError::NoNodes);
-        }
-        if spec.doubling.is_some() {
+        let algorithm = driver.resolved_algorithm();
+        if driver.resolved_doubling().is_some() {
             return Err(DriverError::UnsupportedDoubling {
-                algorithm: spec.algorithm.name(),
+                algorithm: algorithm.name(),
             });
         }
-        match spec.algorithm {
-            Algorithm::LowLoad(cfg) => run_low_load_driver(self, cfg, spec, elements),
-            Algorithm::HighLoad(cfg) => run_high_load_driver(self, cfg.clone(), spec, elements),
-            Algorithm::Accelerated { epsilon } => {
-                let cfg = HighLoadConfig::accelerated(spec.n, *epsilon);
-                run_high_load_driver(self, cfg, spec, elements)
+        let n = driver.n;
+        let reached = |b: &BasisOf<P>, target: &P::Value| self.values_close(&b.value, target);
+        let same =
+            |out: &BasisOf<P>, first: &BasisOf<P>| self.values_close(&out.value, &first.value);
+        match &algorithm {
+            Algorithm::LowLoad(cfg) => {
+                let proto = LowLoadClarkson::new(self.clone(), n, cfg);
+                simulate(driver, proto, elements, reached, same)
             }
-            Algorithm::Hypercube => run_hypercube_driver(self, spec, elements),
+            Algorithm::HighLoad(cfg) => {
+                let proto = HighLoadClarkson::new(self.clone(), n, cfg);
+                simulate(driver, proto, elements, reached, same)
+            }
+            Algorithm::Accelerated { epsilon } => {
+                let cfg = HighLoadConfig::accelerated(n, *epsilon);
+                let proto = HighLoadClarkson::new(self.clone(), n, &cfg);
+                simulate(driver, proto, elements, reached, same)
+            }
+            Algorithm::Hypercube => run_hypercube_driver(driver, elements),
             Algorithm::HittingSet(_) => Err(DriverError::UnsupportedAlgorithm {
-                algorithm: spec.algorithm.name(),
+                algorithm: algorithm.name(),
                 problem: self.problem_kind(),
             }),
         }
     }
 }
 
-fn run_low_load_driver<P: LpType + Clone + Sync>(
-    problem: &P,
-    cfg: &LowLoadConfig,
-    spec: &RunSpec<'_, P::Value>,
-    elements: &[P::Element],
-) -> Result<RunReport<BasisOf<P>>, DriverError> {
-    let proto = LowLoadClarkson::new(problem.clone(), spec.n, cfg);
-    let states: Vec<LowLoadState<P>> = scatter(elements, spec.n, spec.seed)?
-        .into_iter()
-        .map(|h0| proto.initial_state(h0))
-        .collect();
-    let mut net = Network::new(proto, states, net_config(spec));
-    if spec.record_phases {
-        net.set_recorder(Box::new(FlightRecorder::new()));
-    }
-    let (outcome, cause) = drive(
-        &mut net,
-        spec.stop,
-        spec.max_rounds,
-        spec.cancel,
-        |net, target| {
-            net.states().iter().any(|s| {
-                s.candidate
-                    .as_ref()
-                    .is_some_and(|b| net.protocol().problem().values_close(&b.value, target))
-            })
-        },
-        |net| {
-            net.states()
-                .iter()
-                .filter(|s| s.candidate.is_some())
-                .count()
-        },
-    )?;
-    let outputs: Vec<_> = net.states().iter().map(|s| s.output.clone()).collect();
-    Ok(RunReport {
-        consensus: lp_consensus(problem, &outputs),
-        outputs,
-        rounds: outcome.rounds(),
-        all_halted: outcome.all_halted(),
-        stop_cause: cause,
-        first_candidate_round: net.states().iter().filter_map(|s| s.candidate_round).min(),
-        size_bound: None,
-        doubling: None,
-        faults: FaultSummary::from_metrics(spec.fault.as_ref(), net.metrics()),
-        metrics: stamped_metrics(net.metrics(), &outcome, cause),
-        schedule: spec.schedule,
-        topology: spec.topology.name(),
-        exec: ExecInfo::from_threads(net.effective_parallelism()),
-        obs: net.recorder().summary(),
-    })
-}
-
-fn run_high_load_driver<P: LpType + Clone + Sync>(
-    problem: &P,
-    cfg: HighLoadConfig,
-    spec: &RunSpec<'_, P::Value>,
-    elements: &[P::Element],
-) -> Result<RunReport<BasisOf<P>>, DriverError> {
-    let proto = HighLoadClarkson::new(problem.clone(), spec.n, &cfg);
-    let states: Vec<HighLoadState<P>> = scatter(elements, spec.n, spec.seed)?
-        .into_iter()
-        .map(|h| proto.initial_state(h))
-        .collect();
-    let mut net = Network::new(proto, states, net_config(spec));
-    if spec.record_phases {
-        net.set_recorder(Box::new(FlightRecorder::new()));
-    }
-    let (outcome, cause) = drive(
-        &mut net,
-        spec.stop,
-        spec.max_rounds,
-        spec.cancel,
-        |net, target| {
-            net.states().iter().any(|s| {
-                s.local_basis
-                    .as_ref()
-                    .is_some_and(|b| net.protocol().problem().values_close(&b.value, target))
-            })
-        },
-        |net| {
-            net.states()
-                .iter()
-                .filter(|s| s.local_basis.is_some())
-                .count()
-        },
-    )?;
-    let outputs: Vec<_> = net.states().iter().map(|s| s.output.clone()).collect();
-    Ok(RunReport {
-        consensus: lp_consensus(problem, &outputs),
-        outputs,
-        rounds: outcome.rounds(),
-        all_halted: outcome.all_halted(),
-        stop_cause: cause,
-        first_candidate_round: None,
-        size_bound: None,
-        doubling: None,
-        faults: FaultSummary::from_metrics(spec.fault.as_ref(), net.metrics()),
-        metrics: stamped_metrics(net.metrics(), &outcome, cause),
-        schedule: spec.schedule,
-        topology: spec.topology.name(),
-        exec: ExecInfo::from_threads(net.effective_parallelism()),
-        obs: net.recorder().summary(),
-    })
-}
-
 fn run_hypercube_driver<P: LpType + Clone + Sync>(
-    problem: &P,
-    spec: &RunSpec<'_, P::Value>,
+    driver: &Driver<P, LpMode>,
     elements: &[P::Element],
 ) -> Result<RunReport<BasisOf<P>>, DriverError> {
-    if !matches!(spec.stop, StopCondition::FullTermination) {
+    let net = &driver.net;
+    if !matches!(driver.stop, StopCondition::FullTermination) {
         return Err(DriverError::UnsupportedStop {
             algorithm: "hypercube",
         });
     }
-    if !spec.fault.is_perfect() {
+    if !net.fault.is_perfect() {
         return Err(DriverError::UnsupportedFaults {
             algorithm: "hypercube",
         });
     }
     // Likewise for the execution engine: there is no network whose
     // events could be scheduled, so only the default engine fits.
-    if !spec.engine.is_default() {
+    if !net.engine.is_default() {
         return Err(DriverError::UnsupportedEngine {
             algorithm: "hypercube",
         });
     }
     // Analytic baseline — no rounds to check between, so the cancel
     // flag is honoured once, up front.
-    if spec.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+    if driver.cancelled() {
         return Err(DriverError::Cancelled);
     }
     // The baseline charges its per-iteration rounds against a hypercube
     // overlay; only the default complete topology (compatibility — the
     // run is analytic either way) or an explicit hypercube matches the
     // model being charged.
-    if !spec.topology.is_complete() && spec.topology.name() != "hypercube" {
+    if !net.topology.is_complete() && net.topology.name() != "hypercube" {
         return Err(DriverError::UnsupportedTopology {
             algorithm: "hypercube",
-            topology: spec.topology.name(),
+            topology: net.topology.name(),
         });
     }
-    let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);
-    let rep = hypercube_clarkson(problem, elements, spec.n, &mut rng)
+    let mut rng = ChaCha8Rng::seed_from_u64(net.seed);
+    let rep = hypercube_clarkson(&driver.problem, elements, driver.n, &mut rng)
         .map_err(|e| DriverError::Solver(e.to_string()))?;
-    let outputs: Vec<Option<BasisOf<P>>> = vec![Some(rep.basis.clone()); spec.n];
+    let outputs: Vec<Option<BasisOf<P>>> = vec![Some(rep.basis.clone()); driver.n];
     Ok(RunReport {
         consensus: Some(rep.basis),
         outputs,
@@ -1445,9 +1356,9 @@ fn run_hypercube_driver<P: LpType + Clone + Sync>(
         metrics: Metrics::default(),
         // The hypercube baseline is computed analytically (no gossip
         // network, no destination draws), but the report still records
-        // the spec's schedule for uniformity.
-        schedule: spec.schedule,
-        topology: spec.topology.name(),
+        // the driver's schedule for uniformity.
+        schedule: net.schedule,
+        topology: net.topology.name(),
         exec: ExecInfo::sequential(),
         obs: None,
     })
@@ -1483,13 +1394,10 @@ impl DriverProblem<SetMode> for Arc<SetSystem> {
 
     fn execute(
         &self,
-        spec: &RunSpec<'_, usize>,
+        driver: &Driver<Self, SetMode>,
         elements: &[u32],
     ) -> Result<RunReport<Vec<u32>>, DriverError> {
-        if spec.n == 0 {
-            return Err(DriverError::NoNodes);
-        }
-        let cfg = match spec.algorithm {
+        let cfg = match driver.resolved_algorithm() {
             Algorithm::HittingSet(cfg) => cfg,
             other => {
                 return Err(DriverError::UnsupportedAlgorithm {
@@ -1498,59 +1406,26 @@ impl DriverProblem<SetMode> for Arc<SetSystem> {
                 })
             }
         };
-        match spec.doubling {
-            None => run_hitting_set_driver(self, cfg, spec, elements, spec.max_rounds),
-            Some(factor) => run_doubling_search(self, cfg, spec, elements, factor),
+        match driver.resolved_doubling() {
+            None => run_hitting_set_driver(driver, &cfg, elements),
+            Some(factor) => run_doubling_search(driver, &cfg, elements, factor),
         }
     }
 }
 
+/// One simulated hitting-set run; the report also carries the
+/// protocol's sample size as its size bound.
 fn run_hitting_set_driver(
-    sys: &Arc<SetSystem>,
+    driver: &Driver<Arc<SetSystem>, SetMode>,
     cfg: &HittingSetConfig,
-    spec: &RunSpec<'_, usize>,
     elements: &[u32],
-    max_rounds: u64,
 ) -> Result<RunReport<Vec<u32>>, DriverError> {
-    let proto = HittingSetGossip::new(sys.clone(), spec.n, cfg);
-    let size_bound = proto.sample_size();
-    let states: Vec<HittingSetState> = scatter(elements, spec.n, spec.seed)?
-        .into_iter()
-        .map(|x0| proto.initial_state(x0))
-        .collect();
-    let mut net = Network::new(proto, states, net_config(spec));
-    if spec.record_phases {
-        net.set_recorder(Box::new(FlightRecorder::new()));
-    }
-    let (outcome, cause) = drive(
-        &mut net,
-        spec.stop,
-        max_rounds,
-        spec.cancel,
-        |net, target| {
-            net.states()
-                .iter()
-                .any(|s| s.best.as_ref().is_some_and(|hs| hs.len() <= *target))
-        },
-        |net| net.states().iter().filter(|s| s.best.is_some()).count(),
-    )?;
-    let outputs: Vec<_> = net.states().iter().map(|s| s.output.clone()).collect();
-    Ok(RunReport {
-        consensus: hs_consensus(&outputs),
-        outputs,
-        rounds: outcome.rounds(),
-        all_halted: outcome.all_halted(),
-        stop_cause: cause,
-        first_candidate_round: net.states().iter().filter_map(|s| s.found_round).min(),
-        size_bound: Some(size_bound),
-        doubling: None,
-        faults: FaultSummary::from_metrics(spec.fault.as_ref(), net.metrics()),
-        metrics: stamped_metrics(net.metrics(), &outcome, cause),
-        schedule: spec.schedule,
-        topology: spec.topology.name(),
-        exec: ExecInfo::from_threads(net.effective_parallelism()),
-        obs: net.recorder().summary(),
-    })
+    let proto = HittingSetGossip::new(driver.problem.clone(), driver.n, cfg);
+    let size_bound = Some(proto.sample_size());
+    let fits = |hs: &Vec<u32>, max_len: &usize| hs.len() <= *max_len;
+    let mut report = simulate(driver, proto, elements, fits, |out, first| out == first)?;
+    report.size_bound = size_bound;
+    Ok(report)
 }
 
 /// The doubling search on the unknown minimum-hitting-set size: each
@@ -1558,9 +1433,8 @@ fn run_hitting_set_driver(
 /// ([`doubling_attempt_seed`]) under a `factor · d · log2 n` round
 /// budget, until an attempt satisfies the stop condition.
 fn run_doubling_search(
-    sys: &Arc<SetSystem>,
+    driver: &Driver<Arc<SetSystem>, SetMode>,
     base_cfg: &HittingSetConfig,
-    spec: &RunSpec<'_, usize>,
     elements: &[u32],
     factor: f64,
 ) -> Result<RunReport<Vec<u32>>, DriverError> {
@@ -1568,10 +1442,11 @@ fn run_doubling_search(
     // target); a round budget stops every attempt without signalling
     // either, so the search could never distinguish "d too small" from
     // "budget hit" and would always diverge.
-    if matches!(spec.stop, StopCondition::RoundBudget(_)) {
+    if matches!(driver.stop, StopCondition::RoundBudget(_)) {
         return Err(DriverError::DoublingNeedsTermination);
     }
-    let log2n = (spec.n.max(2) as f64).log2();
+    let log2n = (driver.n.max(2) as f64).log2();
+    let mut attempt = driver.clone();
     let mut d = 1usize;
     let mut attempts = Vec::new();
     let mut total_rounds = 0u64;
@@ -1583,12 +1458,9 @@ fn run_doubling_search(
         // max_rounds would freeze the budget and make larger d useless,
         // so the doubling search deliberately ignores the safety valve
         // (divergence is bounded by the ground-set-size check below).
-        let budget = (factor * d as f64 * log2n).ceil().max(8.0) as u64;
-        let attempt_spec = RunSpec {
-            seed: doubling_attempt_seed(spec.seed, d),
-            ..*spec
-        };
-        let report = run_hitting_set_driver(sys, &cfg, &attempt_spec, elements, budget)?;
+        attempt.max_rounds = (factor * d as f64 * log2n).ceil().max(8.0) as u64;
+        attempt.net.seed = doubling_attempt_seed(driver.net.seed, d);
+        let report = run_hitting_set_driver(&attempt, &cfg, elements)?;
         total_rounds += report.rounds;
         let succeeded = report.all_halted
             || matches!(
@@ -1605,7 +1477,7 @@ fn run_doubling_search(
                 ..report
             });
         }
-        if d > 2 * sys.n_elements().max(1) {
+        if d > 2 * driver.problem.n_elements().max(1) {
             return Err(DriverError::DoublingDiverged { d });
         }
         d *= 2;
@@ -1960,7 +1832,12 @@ mod tests {
         );
         let mk = |v: MedValue| Some(lpt::Basis::new(Vec::new(), v));
         let outputs = vec![mk(base), mk(wobble), mk(base)];
-        let consensus = lp_consensus(&Med, &outputs).expect("tolerant consensus");
+        let tolerant_consensus = |outputs: &[Option<BasisOf<Med>>]| {
+            consensus(outputs, |out, first| {
+                Med.values_close(&out.value, &first.value)
+            })
+        };
+        let consensus = tolerant_consensus(&outputs).expect("tolerant consensus");
         assert!(Med.values_close(&consensus.value, &base));
         // ...while a genuine disagreement yields None.
         let far = MedValue {
@@ -1970,10 +1847,10 @@ mod tests {
         };
         assert!(!Med.values_close(&base, &far), "premise: outside tolerance");
         let disagreeing = vec![mk(base), mk(far)];
-        assert!(lp_consensus(&Med, &disagreeing).is_none());
+        assert!(tolerant_consensus(&disagreeing).is_none());
         // ...and a missing output (node never halted) also yields None.
         let partial = vec![mk(base), None];
-        assert!(lp_consensus(&Med, &partial).is_none());
+        assert!(tolerant_consensus(&partial).is_none());
     }
 
     #[test]

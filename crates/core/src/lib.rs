@@ -98,7 +98,7 @@ pub mod termination;
 
 pub use driver::{
     Algorithm, DoublingReport, Driver, DriverError, DriverProblem, ExecInfo, FaultSummary, LpMode,
-    Progress, RunReport, RunSpec, SetMode, StopCause, StopCondition,
+    Progress, RunReport, SetMode, StopCause, StopCondition,
 };
 pub use gossip_sim::event::{Engine, Link, LinkPlan};
 pub use gossip_sim::fault::{

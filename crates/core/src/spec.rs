@@ -1,9 +1,9 @@
 //! Canonical, owned run specifications — the cache key and wire form
 //! of a [`Driver`](crate::driver::Driver) run.
 //!
-//! The runtime [`RunSpec`](crate::driver::RunSpec) borrows trait
-//! objects (fault models, topologies) and may carry closures (custom
-//! stop predicates), so it can be neither hashed nor serialized. A
+//! A configured [`Driver`](crate::driver::Driver) holds trait objects
+//! (fault models, topologies) and may carry closures (custom stop
+//! predicates), so it can be neither hashed nor serialized. A
 //! [`RunSpecKey`] is the owned, wire-expressible subset: every field is
 //! plain data, presets are referenced *by name* (resolved against
 //! `lpt_workloads::scenarios` by the consumer), and the whole key has

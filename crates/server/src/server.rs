@@ -127,7 +127,9 @@ pub struct ServerStats {
     /// Worker jobs that panicked (each answered with a typed
     /// `worker-panicked` frame; the panic never killed a worker).
     pub worker_panics: u64,
-    /// Solve jobs currently queued or executing.
+    /// Solve jobs submitted but not yet picked up by a worker (a job
+    /// leaves the count when a worker starts it, so running jobs are
+    /// not included).
     pub queue_depth: u64,
     /// Total bytes held by cached reply streams.
     pub cache_bytes: u64,

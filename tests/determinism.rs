@@ -396,6 +396,249 @@ fn topology_runs_agree_across_parallelism() {
     assert_eq!(par.topology, "torus2d");
 }
 
+/// FNV-1a (64-bit) of a string: a compact fingerprint for pin tables.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One stop-matrix cell: rounds, stop cause and a digest of the
+/// report's canonical payload — or the error.
+fn stop_cell<O: std::fmt::Debug>(result: Result<RunReport<O>, lpt_gossip::DriverError>) -> String {
+    match result {
+        Ok(r) => format!(
+            "{} {} {:016x}",
+            r.rounds,
+            r.stop_cause.name(),
+            fnv1a(&r.canonical())
+        ),
+        Err(e) => format!("error {e:?}"),
+    }
+}
+
+/// The matrix's five stop settings: (label, stop condition,
+/// `max_rounds`), with `first` the first-solution target.
+fn stop_settings<T: Clone>(first: T) -> Vec<(&'static str, lpt_gossip::StopCondition<T>, u64)> {
+    use lpt_gossip::{Progress, StopCondition};
+    use std::sync::Arc;
+    vec![
+        ("full", StopCondition::FullTermination, 20_000),
+        ("first", StopCondition::FirstSolution(first), 20_000),
+        ("budget5", StopCondition::RoundBudget(5), 20_000),
+        (
+            "custom",
+            StopCondition::Custom(Arc::new(|p: &Progress| {
+                p.round >= 2 && p.with_candidate * 2 >= p.n
+            })),
+            20_000,
+        ),
+        ("max3", StopCondition::FullTermination, 3),
+    ]
+}
+
+/// Every (engine, algorithm, stop) cell pinned: what each algorithm's
+/// stop predicates read (Low-Load's audited candidate, High-Load's
+/// local basis, hitting set's best verified set), how each stop maps an
+/// outcome to a cause, and the analytic hypercube's check order.
+/// Captured before the driver's runners were merged into one path.
+const STOP_MATRIX: [&str; 60] = [
+    "round-sync low-load full: 16 all-halted b778d488905f409c",
+    "round-sync low-load first: 1 target-reached 2bd7761b903f8792",
+    "round-sync low-load budget5: 5 round-budget 8c49413a9722dd9a",
+    "round-sync low-load custom: 2 custom-stop 5268cc0d8b9246c3",
+    "round-sync low-load max3: 3 max-rounds 1cfd5dc0a1eea11e",
+    "round-sync high-load full: 14 all-halted 9fb0843bccba93fb",
+    "round-sync high-load first: 3 target-reached f9ce78b46a2d02bf",
+    "round-sync high-load budget5: 5 round-budget ff78f42379b083cc",
+    "round-sync high-load custom: 2 custom-stop 59c262397820923c",
+    "round-sync high-load max3: 3 max-rounds 6fc724c31b9f5708",
+    "round-sync accelerated(0.5) full: 19 all-halted a02a02ca5afd4511",
+    "round-sync accelerated(0.5) first: 4 target-reached 8eeae1c2c2ebc92a",
+    "round-sync accelerated(0.5) budget5: 5 round-budget f495e28e739505b9",
+    "round-sync accelerated(0.5) custom: 2 custom-stop aecb0396c55cc167",
+    "round-sync accelerated(0.5) max3: 3 max-rounds 6ae038062ec8e6f2",
+    "round-sync hypercube full: 50 all-halted 60e24efd275e65d2",
+    "round-sync hypercube first: error UnsupportedStop { algorithm: \"hypercube\" }",
+    "round-sync hypercube budget5: error UnsupportedStop { algorithm: \"hypercube\" }",
+    "round-sync hypercube custom: error UnsupportedStop { algorithm: \"hypercube\" }",
+    "round-sync hypercube max3: 50 all-halted 60e24efd275e65d2",
+    "round-sync hitting-set(3) full: 12 all-halted 8167e8e1e2ab0559",
+    "round-sync hitting-set(3) first: 1 target-reached 162586cee8ffecdd",
+    "round-sync hitting-set(3) budget5: 5 round-budget 0ffe28d5a393f8b9",
+    "round-sync hitting-set(3) custom: 2 custom-stop 11a6af2457506947",
+    "round-sync hitting-set(3) max3: 3 max-rounds 85f0053b466d0a6e",
+    "round-sync hitting-set(1)+doubling full: 14 all-halted c47e6a670f6662d6",
+    "round-sync hitting-set(1)+doubling first: 1 target-reached accf67d599e4a38f",
+    "round-sync hitting-set(1)+doubling budget5: error DoublingNeedsTermination",
+    "round-sync hitting-set(1)+doubling custom: 2 custom-stop c953a6c9cfbe5135",
+    "round-sync hitting-set(1)+doubling max3: 14 all-halted c47e6a670f6662d6",
+    "event-uniform-1-4 low-load full: 112 all-halted 38fd729838c04ed2",
+    "event-uniform-1-4 low-load first: 7 target-reached e64ac99334e1d837",
+    "event-uniform-1-4 low-load budget5: 5 round-budget 0031d478a55a4b33",
+    "event-uniform-1-4 low-load custom: 7 custom-stop 070351fee22cee69",
+    "event-uniform-1-4 low-load max3: 3 max-rounds e43bd8e8a4978960",
+    "event-uniform-1-4 high-load full: 20 all-halted e41095cb76e916b2",
+    "event-uniform-1-4 high-load first: 6 target-reached c69fcfcf09e79f68",
+    "event-uniform-1-4 high-load budget5: 5 round-budget afba82440abf2ed1",
+    "event-uniform-1-4 high-load custom: 2 custom-stop 289047356d2e46e0",
+    "event-uniform-1-4 high-load max3: 3 max-rounds 5dbd3486ae9b73f6",
+    "event-uniform-1-4 accelerated(0.5) full: 22 all-halted 86ef633acf309752",
+    "event-uniform-1-4 accelerated(0.5) first: 7 target-reached d20eaa936eed0f8e",
+    "event-uniform-1-4 accelerated(0.5) budget5: 5 round-budget 58c29cb4ed29cba9",
+    "event-uniform-1-4 accelerated(0.5) custom: 2 custom-stop 86d2e07fb0367052",
+    "event-uniform-1-4 accelerated(0.5) max3: 3 max-rounds 816e3f66c1f0eec9",
+    "event-uniform-1-4 hypercube full: error UnsupportedEngine { algorithm: \"hypercube\" }",
+    "event-uniform-1-4 hypercube first: error UnsupportedStop { algorithm: \"hypercube\" }",
+    "event-uniform-1-4 hypercube budget5: error UnsupportedStop { algorithm: \"hypercube\" }",
+    "event-uniform-1-4 hypercube custom: error UnsupportedStop { algorithm: \"hypercube\" }",
+    "event-uniform-1-4 hypercube max3: error UnsupportedEngine { algorithm: \"hypercube\" }",
+    "event-uniform-1-4 hitting-set(3) full: 24 all-halted 0723f451c0891392",
+    "event-uniform-1-4 hitting-set(3) first: 6 target-reached e96e5d3218bf4848",
+    "event-uniform-1-4 hitting-set(3) budget5: 5 round-budget 8334ac4524207934",
+    "event-uniform-1-4 hitting-set(3) custom: 7 custom-stop 386ce3babe600128",
+    "event-uniform-1-4 hitting-set(3) max3: 3 max-rounds c876bc34c572ad61",
+    "event-uniform-1-4 hitting-set(1)+doubling full: 29 all-halted 9e762b11ecc6a438",
+    "event-uniform-1-4 hitting-set(1)+doubling first: 7 target-reached 6373fa3b61731aa1",
+    "event-uniform-1-4 hitting-set(1)+doubling budget5: error DoublingNeedsTermination",
+    "event-uniform-1-4 hitting-set(1)+doubling custom: 14 custom-stop b3af16ae38b02021",
+    "event-uniform-1-4 hitting-set(1)+doubling max3: 29 all-halted 9e762b11ecc6a438",
+];
+
+#[test]
+fn stop_matrix_is_pinned() {
+    use lpt::LpType;
+    use lpt_gossip::{Algorithm, Engine};
+    use std::sync::Arc;
+
+    let n = 32;
+    let points = duo_disk(96, 5);
+    let optimum = Med.basis_of(&points).value;
+    let (sys, _) = lpt_workloads::sets::planted_hitting_set(96, 24, 3, 6, 66);
+    let sys = Arc::new(sys);
+    let lp_algorithms = [
+        ("low-load", Algorithm::low_load()),
+        ("high-load", Algorithm::high_load()),
+        ("accelerated(0.5)", Algorithm::accelerated(0.5)),
+        ("hypercube", Algorithm::Hypercube),
+    ];
+    let hs_algorithms = [
+        ("hitting-set(3)", Algorithm::hitting_set(3), None),
+        (
+            "hitting-set(1)+doubling",
+            Algorithm::hitting_set(1),
+            Some(12.0),
+        ),
+    ];
+    let mut got = Vec::new();
+    for engine in ["round-sync", "event-uniform-1-4"] {
+        let plan = Engine::parse(engine).expect("engine name");
+        for (alg, algorithm) in &lp_algorithms {
+            for (stop, condition, max_rounds) in stop_settings(optimum) {
+                let result = Driver::new(Med)
+                    .nodes(n)
+                    .seed(5)
+                    .engine(plan.clone())
+                    .algorithm(algorithm.clone())
+                    .stop(condition)
+                    .max_rounds(max_rounds)
+                    .run(&points);
+                got.push(format!("{engine} {alg} {stop}: {}", stop_cell(result)));
+            }
+        }
+        for (alg, algorithm, doubling) in &hs_algorithms {
+            for (stop, condition, max_rounds) in stop_settings(usize::MAX) {
+                let mut driver = Driver::new(sys.clone())
+                    .nodes(n)
+                    .seed(66)
+                    .engine(plan.clone())
+                    .algorithm(algorithm.clone())
+                    .stop(condition)
+                    .max_rounds(max_rounds);
+                if let Some(factor) = doubling {
+                    driver = driver.with_doubling_search(*factor);
+                }
+                let result = driver.run_ground();
+                got.push(format!("{engine} {alg} {stop}: {}", stop_cell(result)));
+            }
+        }
+    }
+    let moved: Vec<String> = got
+        .iter()
+        .zip(STOP_MATRIX)
+        .filter(|(g, p)| g != p)
+        .map(|(g, p)| format!("  pinned {p}\n  got    {g}"))
+        .collect();
+    assert!(
+        moved.is_empty() && got.len() == STOP_MATRIX.len(),
+        "{} of {} stop-matrix cells moved ({} pinned):\n{}",
+        moved.len(),
+        got.len(),
+        STOP_MATRIX.len(),
+        moved.join("\n")
+    );
+}
+
+/// A fault model that never takes a node down but raises its flag
+/// while the engine scans round 0 for offline nodes: a deterministic
+/// mid-run cancellation trigger.
+#[derive(Debug)]
+struct CancelDuringRoundZero(std::sync::Arc<std::sync::atomic::AtomicBool>);
+
+impl lpt_gossip::FaultModel for CancelDuringRoundZero {
+    fn name(&self) -> &'static str {
+        "cancel-during-round-zero"
+    }
+
+    fn offline(&self, _seed: u64, round: u64, _node: gossip_sim::NodeId) -> bool {
+        if round == 0 {
+            self.0.store(true, std::sync::atomic::Ordering::Relaxed);
+        }
+        false
+    }
+}
+
+/// A flag raised during a round cancels the run at that round's
+/// boundary under every stop condition — also under first-solution,
+/// whose target is reached in that same round: the flag wins, so a
+/// cancelled run never emits a report.
+#[test]
+fn cancellation_mid_run_wins_under_every_stop_condition() {
+    use lpt::LpType;
+    use lpt_gossip::{DriverError, StopCause};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    let n = 256;
+    let points = duo_disk(n, 8);
+    let optimum = Med.basis_of(&points).value;
+    let driver = |stop, flag: &Arc<AtomicBool>| {
+        Driver::new(Med)
+            .nodes(n)
+            .seed(8)
+            .stop(stop)
+            .fault_model(CancelDuringRoundZero(flag.clone()))
+    };
+    // Without a cancel flag installed, the first-solution run reaches
+    // its target in round 0 itself.
+    let unwatched = Arc::new(AtomicBool::new(false));
+    let uncancelled = driver(
+        lpt_gossip::StopCondition::FirstSolution(optimum),
+        &unwatched,
+    )
+    .run(&points)
+    .expect("run");
+    assert_eq!(
+        (uncancelled.rounds, uncancelled.stop_cause),
+        (1, StopCause::TargetReached)
+    );
+    for (label, stop, _) in stop_settings(optimum).into_iter().take(4) {
+        let flag = Arc::new(AtomicBool::new(false));
+        let result = driver(stop, &flag).cancel_flag(flag).run(&points);
+        assert_eq!(result.err(), Some(DriverError::Cancelled), "{label}");
+    }
+}
+
 #[test]
 fn different_seeds_differ() {
     let points = triple_disk(128, 72);
